@@ -25,12 +25,12 @@
 # --bench-smoke additionally executes the batched-search-core benchmarks
 # (BM_PlanSearch + BM_FrontierForward), the DP plan-generator scaling
 # sweep (BM_DpEnumerate: chain/star/clique x 8/12/16/20 relations; the
-# n=12 cells walk the full historic subset space and take a few seconds
-# each by design), and the executor benches (BM_Execute*: per-operator
-# vectorized-vs-tuple-at-a-time A/B plus the hash-join and group-by
-# acceptance benches), mirroring CI's bench-smoke step: it proves the
-# bench targets still run, not just compile. Numbers are printed, not
-# gated.
+# n=12 cells walk the full 3^12-split subset space, priced without
+# building plans, in well under a second each), and the executor benches
+# (BM_Execute*: per-operator vectorized-vs-tuple-at-a-time A/B plus the
+# hash-join and group-by acceptance benches), mirroring CI's bench-smoke
+# step: it proves the bench targets still run, not just compile. Numbers
+# are printed, not gated.
 #
 # --serve-smoke additionally runs the BM_PlanServer serving benchmark
 # briefly (plans/sec + p50/p99 service latency, cold and warm-cache, 1

@@ -1,14 +1,15 @@
-// Exhaustive join enumeration, re-seated on the shared plan-generator core
-// (plan_gen.h): connected-subgraph DP with RDF-3X-style per-subproblem
-// plan lists and dominance pruning, optimal w.r.t. the cost model over
-// bushy trees, avoiding cross products unless the join graph forces them
-// (PostgreSQL behaviour). Disconnected queries are planned per connected
-// component, then the component plans are cross-combined by an exact DP
-// over components — the same restricted plan space the learned
-// environments and GEQO search (components finish internally before any
-// cross product), so DP stays the cost floor of the regret metrics.
-// Queries whose join graphs exceed the subproblem budget yield
-// ResourceExhausted, and Optimize falls back to GEQO.
+// Exhaustive join enumeration on the plan generator (plan_gen.h): a DP
+// table with one plan-free entry (cost, rows, split) per subproblem,
+// optimal w.r.t. the cost model over bushy trees. Components of at most
+// kExhaustiveRelations relations walk every subset, cross products
+// included; larger components enumerate connected subgraphs only.
+// Disconnected queries are planned per connected component, then the
+// component plans are cross-combined by an exact DP over components — the
+// same restricted plan space the learned environments and GEQO search
+// (components finish internally before any cross product), so DP stays
+// the cost floor of the regret metrics. Queries whose join graphs exceed
+// the subproblem budget yield ResourceExhausted, and Optimize falls back
+// to GEQO.
 #include <vector>
 
 #include "optimizer/optimizer.h"
@@ -21,8 +22,6 @@ Result<PlanNodePtr> TraditionalOptimizer::EnumerateDp(const Query& query) {
   HFQ_CHECK(query.num_relations() >= 2);
   PlanGenOptions gen_options;
   gen_options.max_subproblems = options_.dp_max_subproblems;
-  gen_options.max_plans_per_subproblem = options_.dp_max_plans_per_subproblem;
-  gen_options.exhaustive_relations = options_.dp_exhaustive_relations;
   PlanGenerator gen(this, query, gen_options);
   return gen.FindCheapestJoinPlan();
 }

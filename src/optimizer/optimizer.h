@@ -2,7 +2,9 @@
 // join-order enumeration (System-R DP up to geqo_threshold relations,
 // genetic search beyond — like Postgres' GEQO), access-path selection,
 // join-operator selection, and aggregate-operator selection, all driven by
-// the cost model. Plays three roles from the paper:
+// the cost model. Join-operator selection has one set of rules, PriceJoin:
+// the DP prices candidate splits with it without building plans, and
+// BestJoin builds the chosen operator. Plays three roles from the paper:
 //   * the baseline ReJOIN is compared against (Fig 3a/3b/3c),
 //   * the demonstration "expert" for learning-from-demonstration (Sec 5.1),
 //   * the provider of traditional later-pipeline stages during incremental
@@ -30,20 +32,12 @@ struct OptimizerOptions {
   /// Use exhaustive DP for queries with at most this many relations;
   /// genetic search (GEQO) beyond.
   int geqo_threshold = 12;
-  /// DP plan-generator budgets (plan_gen.h). A join graph inducing more
-  /// connected subproblems than `dp_max_subproblems` makes EnumerateDp
-  /// return ResourceExhausted and Optimize fall back to GEQO; sparse
-  /// graphs (chains/snowflakes) stay exact far past the old 3^n wall
-  /// (a 20-relation chain induces only 210 subproblems).
+  /// DP subproblem budget (plan_gen.h). A join graph inducing more DP
+  /// subproblems (plus 2^k cross-combination states for k disconnected
+  /// components) than this makes EnumerateDp return ResourceExhausted and
+  /// Optimize fall back to GEQO; sparse graphs (chains/snowflakes) stay
+  /// exact far past the 3^n wall (a 20-relation chain induces only 210).
   int64_t dp_max_subproblems = 20000;
-  /// Per-subproblem dominance-pruned plan-list budget; truncation is
-  /// deterministic and never evicts the cheapest plan.
-  int dp_max_plans_per_subproblem = 8;
-  /// Components up to this size search the historic exhaustive subset
-  /// space (clauseless-join cross products included — bit-identical plans
-  /// to the pre-plan_gen enumerator); larger components enumerate
-  /// connected subgraphs only. See PlanGenOptions::exhaustive_relations.
-  int dp_exhaustive_relations = 12;
   bool enable_indexscan = true;
   bool enable_hashjoin = true;
   bool enable_mergejoin = true;
@@ -87,12 +81,37 @@ class TraditionalOptimizer {
   /// memory; the estimator's ClearCache is the companion).
   void ClearAccessPathCache();
 
+  /// One join input as operator selection sees it.
+  struct JoinInput {
+    RelSet rels = 0;
+    double rows = 0.0;
+    double cost = 0.0;
+    bool is_scan = false;  // Only a base-scan inner can be an INLJ probe.
+  };
+
+  /// The operator chosen for one join orientation, and its price.
+  struct JoinChoice {
+    PhysicalOp op = PhysicalOp::kNestedLoopJoin;
+    int probe_pred = -1;  // INLJ: the join predicate driving the probe.
+    IndexKind inner_index_kind = IndexKind::kBTree;
+    double rows = 0.0;  // Output rows.
+    double cost = 0.0;
+  };
+
+  /// The pricing half of BestJoin: picks the cheapest join operator for
+  /// `outer` joined with `inner` in that orientation, without building a
+  /// plan. `preds` must be query.JoinPredsBetween(outer.rels, inner.rels)
+  /// and `out_rows` the estimated rows of their union.
+  JoinChoice PriceJoin(const Query& query, const std::vector<int>& preds,
+                       const JoinInput& outer, const JoinInput& inner,
+                       double out_rows) const;
+
   /// Cheapest join operator for fixed children/orientation, annotated.
   /// The inputs must be annotated.
   PlanNodePtr BestJoin(const Query& query, PlanNodePtr outer,
                        PlanNodePtr inner);
 
-  /// Tries both orientations and returns the cheaper BestJoin result.
+  /// Prices both orientations and builds the cheaper (ties: `a` outer).
   PlanNodePtr BestJoinEitherOrientation(const Query& query, PlanNodePtr a,
                                         PlanNodePtr b);
 
@@ -112,6 +131,11 @@ class TraditionalOptimizer {
   /// Returns the memo entry for `query` (creating it if needed), with the
   /// fingerprint aliasing guard applied. Caller must hold access_mu_.
   AccessPathEntry& GuardedAccessEntryLocked(const Query& query);
+
+  /// The build half of BestJoin: the annotated join node for `choice`.
+  PlanNodePtr BuildJoin(const Query& query, const JoinChoice& choice,
+                        std::vector<int> preds, PlanNodePtr outer,
+                        PlanNodePtr inner);
 
   Result<PlanNodePtr> EnumerateDp(const Query& query);
   Result<PlanNodePtr> EnumerateGeqo(const Query& query);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 #include <unordered_set>
 
 #include "optimizer/optimizer.h"
@@ -28,128 +29,43 @@ std::vector<RelSet> JoinGraphComponents(const Query& query) {
   return components;
 }
 
+Status OverBudget(int64_t max_subproblems) {
+  return Status::ResourceExhausted(
+      "join graph induces more than " + std::to_string(max_subproblems) +
+      " DP subproblems; enumeration over-budget");
+}
+
+// Adds every connected subset of `rels` to `seen`, failing as soon as
+// `seen` holds more than `max_subproblems` sets.
+Status GrowConnectedSubsets(const Query& query, RelSet rels,
+                            int64_t max_subproblems,
+                            std::unordered_set<RelSet>* seen) {
+  // Every connected subset of size k+1 is a connected subset of size k plus
+  // one neighbor, so growing from singletons with a dedup set enumerates
+  // each connected subset exactly once — 2^n never appears for sparse
+  // graphs (a 20-relation chain has 210 connected subsets). The budget
+  // check runs during growth: a graph denser than the budget is rejected
+  // before any planning work happens.
+  std::vector<RelSet> pending;
+  for (int rel : RelSetMembers(rels)) {
+    seen->insert(RelSetOf(rel));
+    pending.push_back(RelSetOf(rel));
+  }
+  while (static_cast<int64_t>(seen->size()) <= max_subproblems) {
+    if (pending.empty()) return Status::OK();
+    RelSet s = pending.back();
+    pending.pop_back();
+    RelSet nb = query.NeighborsOfSet(s) & rels;
+    while (nb != 0) {
+      RelSet grown = s | RelSetOf(std::countr_zero(nb));
+      nb &= nb - 1;
+      if (seen->insert(grown).second) pending.push_back(grown);
+    }
+  }
+  return OverBudget(max_subproblems);
+}
+
 }  // namespace
-
-bool OrderingCovers(const PlanOrdering& a, const PlanOrdering& b) {
-  if (!b.sorted) return true;
-  return a == b;
-}
-
-PlanOrdering DerivePlanOrdering(const Query& query, const PlanNode& plan) {
-  PlanOrdering ordering;
-  switch (plan.op) {
-    case PhysicalOp::kIndexScan:
-      if (plan.index_kind == IndexKind::kBTree) {
-        ordering.sorted = true;
-        ordering.rel_idx = plan.rel_idx;
-        ordering.column = plan.index_column;
-      }
-      break;
-    case PhysicalOp::kMergeJoin: {
-      // Sort-merge leaves the output ordered on the (outer-side) key of
-      // the predicate it merged on.
-      if (plan.join_pred_idxs.empty() || plan.children.empty()) break;
-      const JoinPredicate& jp =
-          query.joins[static_cast<size_t>(plan.join_pred_idxs[0])];
-      const PlanNode* outer = plan.child(0);
-      const ColumnRef& key =
-          RelSetHas(outer->rels, jp.left.rel_idx) ? jp.left : jp.right;
-      ordering.sorted = true;
-      ordering.rel_idx = key.rel_idx;
-      ordering.column = key.column;
-      break;
-    }
-    default:
-      break;
-  }
-  return ordering;
-}
-
-bool Subproblem::AddPlan(PlanNodePtr plan, PlanOrdering ordering,
-                         int max_plans, PlanGenStats* stats) {
-  HFQ_CHECK(plan != nullptr);
-  if (max_plans < 1) max_plans = 1;
-  if (stats != nullptr) stats->candidates++;
-  const int64_t old_size = static_cast<int64_t>(plans.size());
-  const double cost = plan->est_cost;
-
-  // Rejection: some retained plan costs no more and its ordering covers the
-  // newcomer's — the newcomer can never beat it for any consumer. Cost ties
-  // resolve in favour of the incumbent, which keeps the cheapest-plan
-  // choice identical to the historic strict-< DP replacement rule.
-  for (const SubPlan& e : plans) {
-    if (e.plan->est_cost <= cost && OrderingCovers(e.ordering, ordering)) {
-      if (stats != nullptr) {
-        stats->plans_dominated++;
-      }
-      return false;
-    }
-  }
-
-  // Eviction: retained plans that cost strictly more under an ordering the
-  // newcomer covers are now dominated. (Strictly: a cost tie keeps both, so
-  // an equal-cost plan can never displace an earlier-accepted one.)
-  for (size_t i = plans.size(); i-- > 0;) {
-    if (plans[i].plan->est_cost > cost &&
-        OrderingCovers(ordering, plans[i].ordering)) {
-      plans.erase(plans.begin() + static_cast<ptrdiff_t>(i));
-      if (stats != nullptr) stats->plans_dominated++;
-    }
-  }
-  plans.push_back(SubPlan{std::move(plan), ordering});
-
-  // Cheapest = lowest-index minimum. Acceptance rejects newcomers tied with
-  // an incumbent of covering ordering and eviction only removes strictly
-  // costlier plans, so the lowest-index minimum is always the *first*
-  // accepted plan of minimum cost — the same plan sequential strict-<
-  // tracking would keep.
-  auto recompute_cheapest = [this]() {
-    cheapest = 0;
-    for (size_t i = 1; i < plans.size(); ++i) {
-      if (plans[i].plan->est_cost <
-          plans[static_cast<size_t>(cheapest)].plan->est_cost) {
-        cheapest = static_cast<int>(i);
-      }
-    }
-  };
-  recompute_cheapest();
-
-  // Budget truncation: evict the costliest non-cheapest plan (ties: the
-  // newest), deterministically, until within budget. The cheapest plan is
-  // never evicted, so any budget >= 1 preserves exactness of the cheapest
-  // cost.
-  int newcomer = static_cast<int>(plans.size()) - 1;
-  while (static_cast<int>(plans.size()) > max_plans) {
-    int victim = -1;
-    for (size_t i = 0; i < plans.size(); ++i) {
-      if (static_cast<int>(i) == cheapest) continue;
-      if (victim < 0 ||
-          plans[i].plan->est_cost >=
-              plans[static_cast<size_t>(victim)].plan->est_cost) {
-        victim = static_cast<int>(i);
-      }
-    }
-    HFQ_CHECK(victim >= 0);
-    plans.erase(plans.begin() + victim);
-    if (victim < cheapest) cheapest--;
-    if (victim == newcomer) {
-      newcomer = -1;
-    } else if (newcomer >= 0 && victim < newcomer) {
-      newcomer--;
-    }
-    if (stats != nullptr) stats->plans_truncated++;
-  }
-  if (stats != nullptr) {
-    stats->plans_kept += static_cast<int64_t>(plans.size()) - old_size;
-  }
-  return newcomer >= 0;
-}
-
-const PlanNode* Subproblem::CheapestPlan() const {
-  HFQ_CHECK(cheapest >= 0 &&
-            cheapest < static_cast<int>(plans.size()));
-  return plans[static_cast<size_t>(cheapest)].plan.get();
-}
 
 PlanGenerator::PlanGenerator(TraditionalOptimizer* optimizer,
                              const Query& query, PlanGenOptions options)
@@ -159,47 +75,40 @@ PlanGenerator::PlanGenerator(TraditionalOptimizer* optimizer,
 
 Result<std::vector<RelSet>> PlanGenerator::ConnectedSubsets(
     const Query& query, int64_t max_subproblems) {
-  const int n = query.num_relations();
-  // Every connected subset of size k+1 is a connected subset of size k plus
-  // one neighbor, so growing from singletons with a dedup set enumerates
-  // each connected subset exactly once — 2^n never appears for sparse
-  // graphs (a 20-relation chain has 210 connected subsets). The budget
-  // check runs during growth: a graph denser than the budget is rejected
-  // before any planning work happens.
   std::unordered_set<RelSet> seen;
-  std::vector<RelSet> pending;
-  seen.reserve(64);
-  for (int rel = 0; rel < n; ++rel) {
-    seen.insert(RelSetOf(rel));
-    pending.push_back(RelSetOf(rel));
-  }
-  if (static_cast<int64_t>(seen.size()) > max_subproblems) {
-    return Status::ResourceExhausted(
-        "join graph exceeds the DP subproblem budget");
-  }
-  while (!pending.empty()) {
-    RelSet s = pending.back();
-    pending.pop_back();
-    RelSet nb = query.NeighborsOfSet(s);
-    while (nb != 0) {
-      int rel = std::countr_zero(nb);
-      nb &= nb - 1;
-      RelSet grown = s | RelSetOf(rel);
-      if (!seen.insert(grown).second) continue;
-      pending.push_back(grown);
-      if (static_cast<int64_t>(seen.size()) > max_subproblems) {
-        return Status::ResourceExhausted(
-            "join graph induces more than " +
-            std::to_string(max_subproblems) +
-            " connected subproblems; DP enumeration over-budget");
-      }
-    }
-  }
+  HFQ_RETURN_IF_ERROR(GrowConnectedSubsets(
+      query, RelSetAll(query.num_relations()), max_subproblems, &seen));
   std::vector<RelSet> out(seen.begin(), seen.end());
   // Ascending mask order visits every subset before any of its supersets,
-  // which is all the DP below needs.
+  // which is all the DP needs.
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void PlanGenerator::OfferSplit(RelSet s1, RelSet s2,
+                               const std::vector<int>& preds, double rows,
+                               Entry* best) const {
+  const Entry& e1 = table_.at(s1);
+  const Entry& e2 = table_.at(s2);
+  const TraditionalOptimizer::JoinInput in1{s1, e1.rows, e1.cost,
+                                            e1.outer == 0};
+  const TraditionalOptimizer::JoinInput in2{s2, e2.rows, e2.cost,
+                                            e2.outer == 0};
+  const double ab = optimizer_->PriceJoin(query_, preds, in1, in2, rows).cost;
+  const double ba = optimizer_->PriceJoin(query_, preds, in2, in1, rows).cost;
+  const bool swap = ba < ab;
+  const double cost = swap ? ba : ab;
+  if (best->outer == 0 || cost < best->cost) {
+    *best = Entry{cost, rows, swap ? s2 : s1, swap ? s1 : s2};
+  }
+}
+
+PlanNodePtr PlanGenerator::Build(RelSet s) {
+  const Entry& e = table_.at(s);
+  if (e.outer == 0) {
+    return std::move(access_[static_cast<size_t>(std::countr_zero(s))]);
+  }
+  return optimizer_->BestJoin(query_, Build(e.outer), Build(e.inner));
 }
 
 Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
@@ -207,57 +116,30 @@ Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
   HFQ_CHECK(n >= 2);
   const std::vector<RelSet> components = JoinGraphComponents(query_);
 
-  // Subproblem universe, per component: small components get the full
-  // historic subset space (bit-identical plans to the pre-plan_gen
-  // enumerator, clauseless-join cross products included); large components
-  // get connected subgraphs only (scalable on sparse graphs; see
-  // PlanGenOptions::exhaustive_relations).
+  // Subproblem universe, per component (see kExhaustiveRelations): every
+  // subset of a small component, connected subgraphs of a large one.
   std::unordered_set<RelSet> seen;
-  std::vector<RelSet> pending;
   for (RelSet comp : components) {
-    const int comp_size = RelSetCount(comp);
-    if (comp_size <= options_.exhaustive_relations) {
-      const int64_t comp_subsets = (int64_t{1} << comp_size) - 1;
+    if (RelSetCount(comp) <= kExhaustiveRelations) {
+      const int64_t comp_subsets = (int64_t{1} << RelSetCount(comp)) - 1;
       if (comp_subsets + static_cast<int64_t>(seen.size()) >
           options_.max_subproblems) {
-        return Status::ResourceExhausted(
-            "join graph induces more than " +
-            std::to_string(options_.max_subproblems) +
-            " DP subproblems; enumeration over-budget");
+        return OverBudget(options_.max_subproblems);
       }
       for (RelSet sub = comp; sub != 0; sub = (sub - 1) & comp) {
         seen.insert(sub);
       }
     } else {
-      for (int rel : RelSetMembers(comp)) {
-        seen.insert(RelSetOf(rel));
-        pending.push_back(RelSetOf(rel));
-      }
-      if (static_cast<int64_t>(seen.size()) > options_.max_subproblems) {
-        return Status::ResourceExhausted(
-            "join graph induces more than " +
-            std::to_string(options_.max_subproblems) +
-            " DP subproblems; enumeration over-budget");
-      }
+      HFQ_RETURN_IF_ERROR(GrowConnectedSubsets(
+          query_, comp, options_.max_subproblems, &seen));
     }
   }
-  while (!pending.empty()) {
-    RelSet s = pending.back();
-    pending.pop_back();
-    RelSet nb = query_.NeighborsOfSet(s);
-    while (nb != 0) {
-      int rel = std::countr_zero(nb);
-      nb &= nb - 1;
-      RelSet grown = s | RelSetOf(rel);
-      if (!seen.insert(grown).second) continue;
-      pending.push_back(grown);
-      if (static_cast<int64_t>(seen.size()) > options_.max_subproblems) {
-        return Status::ResourceExhausted(
-            "join graph induces more than " +
-            std::to_string(options_.max_subproblems) +
-            " connected subproblems; DP enumeration over-budget");
-      }
-    }
+  // A disconnected graph also cross-combines its k components: 2^k more
+  // states, a 3^k split walk.
+  const int k = static_cast<int>(components.size());
+  if (k > 1 && (int64_t{1} << k) + static_cast<int64_t>(seen.size()) >
+                   options_.max_subproblems) {
+    return OverBudget(options_.max_subproblems);
   }
   std::vector<RelSet> subsets(seen.begin(), seen.end());
   // Ascending mask order visits every subset before any of its supersets,
@@ -266,107 +148,83 @@ Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
 
   table_.clear();
   table_.reserve(subsets.size());
+  access_.clear();
+  access_.resize(static_cast<size_t>(n));
   stats_ = PlanGenStats();
   stats_.subproblems = static_cast<int64_t>(subsets.size());
+  std::vector<RelSet> neighbors(static_cast<size_t>(n));
+  for (int rel = 0; rel < n; ++rel) {
+    neighbors[static_cast<size_t>(rel)] = query_.NeighborsOf(rel);
+  }
+  CardinalitySource* cards = optimizer_->cost_model()->cards();
+  const std::vector<int> no_preds;
 
   for (RelSet s : subsets) {
-    Subproblem sp;
     if (RelSetCount(s) == 1) {
-      PlanNodePtr scan =
-          optimizer_->BestAccessPath(query_, std::countr_zero(s));
-      PlanOrdering ordering = DerivePlanOrdering(query_, *scan);
-      sp.AddPlan(std::move(scan), ordering,
-                 options_.max_plans_per_subproblem, &stats_);
-      table_.emplace(s, std::move(sp));
+      const int rel = std::countr_zero(s);
+      PlanNodePtr& scan = access_[static_cast<size_t>(rel)];
+      scan = optimizer_->BestAccessPath(query_, rel);
+      table_.emplace(s, Entry{scan->est_cost, scan->est_rows, 0, 0});
       continue;
     }
-    // Split walk in the historic DPsize order (descending submask walk,
-    // unordered pairs, outer-then-swapped candidates) so cost ties resolve
-    // to the same plan the pre-plan_gen enumerator chose.
-    auto consider = [&](RelSet s1, RelSet s2) {
-      auto it1 = table_.find(s1);
-      if (it1 == table_.end()) return;  // Not a materialized subproblem.
-      auto it2 = table_.find(s2);
-      if (it2 == table_.end()) return;
-      const PlanNode* p1 = it1->second.CheapestPlan();
-      const PlanNode* p2 = it2->second.CheapestPlan();
-      PlanNodePtr ab = optimizer_->BestJoin(query_, p1->Clone(), p2->Clone());
-      PlanOrdering ab_ord = DerivePlanOrdering(query_, *ab);
-      sp.AddPlan(std::move(ab), ab_ord, options_.max_plans_per_subproblem,
-                 &stats_);
-      PlanNodePtr ba = optimizer_->BestJoin(query_, p2->Clone(), p1->Clone());
-      PlanOrdering ba_ord = DerivePlanOrdering(query_, *ba);
-      sp.AddPlan(std::move(ba), ba_ord, options_.max_plans_per_subproblem,
-                 &stats_);
-    };
-    // First pass: only splits connected by at least one join predicate.
-    // Table lookups run before the predicate scan: on sparse graphs most
-    // submasks are not materialized subproblems, and the O(1) misses keep
-    // the 2^|s| walk from paying O(#joins) per iteration.
+    const double rows = cards->Rows(query_, s);
+    Entry best;
+    // The walk order (descending submask walk, unordered pairs, outer
+    // before swapped orientation) and strict-< replacement decide which
+    // plan wins a cost tie; plan_gen_test pins that choice against the
+    // DPsize reference. First pass: only splits connected by at least one
+    // join predicate. Table lookups run before the predicate test: on
+    // sparse graphs most submasks are not subproblems.
     for (RelSet s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
-      RelSet s2 = s & ~s1;
-      if (s1 > s2) continue;  // Unordered pairs; orientations in consider.
-      if (table_.find(s1) == table_.end() ||
-          table_.find(s2) == table_.end()) {
-        continue;
+      const RelSet s2 = s & ~s1;
+      if (s1 > s2 || !table_.contains(s1) || !table_.contains(s2)) continue;
+      RelSet s1_neighbors = 0;
+      for (RelSet rest = s1; rest != 0; rest &= rest - 1) {
+        s1_neighbors |= neighbors[static_cast<size_t>(std::countr_zero(rest))];
       }
-      if (query_.JoinPredsBetween(s1, s2).empty()) continue;
-      consider(s1, s2);
+      if ((s1_neighbors & s2) == 0) continue;
+      OfferSplit(s1, s2, query_.JoinPredsBetween(s1, s2), rows, &best);
     }
-    // Second pass (only when no predicate-connected split produced a
-    // plan): cross products, so the internally-disconnected subsets of the
-    // exhaustive regime still plan. Connected subproblems never get here —
-    // a connected set of size >= 2 always has a predicate-connected split
-    // into two connected parts (drop one spanning-tree edge), both already
-    // in the table by ascending mask order.
-    if (sp.plans.empty()) {
+    // Second pass (only when no predicate-connected split exists): cross
+    // products, so the internally-disconnected subsets of the exhaustive
+    // regime still plan. Connected subproblems never get here — a
+    // connected set of size >= 2 always splits into two connected parts
+    // joined by a predicate (drop one spanning-tree edge), both already in
+    // the table by ascending mask order.
+    if (best.outer == 0) {
       for (RelSet s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
-        RelSet s2 = s & ~s1;
-        if (s1 > s2) continue;
-        consider(s1, s2);
+        const RelSet s2 = s & ~s1;
+        if (s1 > s2 || !table_.contains(s1) || !table_.contains(s2)) {
+          continue;
+        }
+        OfferSplit(s1, s2, no_preds, rows, &best);
       }
     }
-    HFQ_CHECK_MSG(!sp.plans.empty(),
-                  "DP subproblem admitted no usable split");
-    table_.emplace(s, std::move(sp));
+    HFQ_CHECK_MSG(best.outer != 0, "DP subproblem admitted no usable split");
+    table_.emplace(s, best);
   }
 
-  auto take_cheapest = [this](RelSet s) -> PlanNodePtr {
-    auto it = table_.find(s);
-    HFQ_CHECK(it != table_.end());
-    Subproblem& sp = it->second;
-    return std::move(sp.plans[static_cast<size_t>(sp.cheapest)].plan);
-  };
-  if (components.size() == 1) {
-    return take_cheapest(RelSetAll(n));
-  }
-
-  // Cross-combination DP over the component plans: every component's
-  // output cardinality is fixed by the cardinality model (it depends on
-  // the relation set, not the plan), so component-optimal subplans are
-  // globally optimal and only the cross-join shape remains to optimize.
-  const int k = static_cast<int>(components.size());
-  HFQ_CHECK(k <= 20);  // 2^k combination states; queries are far smaller.
-  std::vector<PlanNodePtr> comp_best(static_cast<size_t>(1) << k);
-  for (int c = 0; c < k; ++c) {
-    comp_best[static_cast<size_t>(1) << c] =
-        take_cheapest(components[static_cast<size_t>(c)]);
-  }
-  const uint32_t full = (static_cast<uint32_t>(1) << k) - 1;
-  for (uint32_t m = 1; m <= full; ++m) {
+  // Cross-combination DP over the components, in the same table: every
+  // component's output cardinality is fixed by the cardinality model (it
+  // depends on the relation set, not the plan), so component-optimal
+  // subplans are globally optimal and only the cross-join shape remains to
+  // optimize. State m (a mask over components) is the union of its
+  // components' relations.
+  std::vector<RelSet> unions(size_t{1} << k);
+  for (size_t m = 1; m < unions.size(); ++m) {
+    unions[m] = unions[m & (m - 1)] |
+                components[static_cast<size_t>(std::countr_zero(m))];
     if (std::popcount(m) < 2) continue;
-    PlanNodePtr& slot = comp_best[m];
-    for (uint32_t m1 = (m - 1) & m; m1 != 0; m1 = (m1 - 1) & m) {
-      uint32_t m2 = m & ~m1;
+    const double rows = cards->Rows(query_, unions[m]);
+    Entry best;
+    for (size_t m1 = (m - 1) & m; m1 != 0; m1 = (m1 - 1) & m) {
+      const size_t m2 = m & ~m1;
       if (m1 > m2) continue;
-      PlanNodePtr candidate = optimizer_->BestJoinEitherOrientation(
-          query_, comp_best[m1]->Clone(), comp_best[m2]->Clone());
-      if (slot == nullptr || candidate->est_cost < slot->est_cost) {
-        slot = std::move(candidate);
-      }
+      OfferSplit(unions[m1], unions[m2], no_preds, rows, &best);
     }
+    table_.emplace(unions[m], best);
   }
-  return std::move(comp_best[full]);
+  return Build(RelSetAll(n));
 }
 
 }  // namespace hfq

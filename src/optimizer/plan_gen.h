@@ -1,22 +1,19 @@
-// The shared plan-generator core behind exhaustive join enumeration:
-// RDF-3X-style per-subproblem plan lists (PlanGen::addPlan) with dominance
-// pruning over (cost, output ordering), connected-subgraph enumeration that
-// never materializes cross products unless the join graph forces them
-// (disconnected queries cross-combine whole components, nothing finer), and
-// explicit budgets so an infeasibly dense plan space degrades into a
-// ResourceExhausted error instead of an open-ended enumeration.
+// The exhaustive join enumerator behind TraditionalOptimizer's DP. Each
+// subproblem (a relation set) keeps one plan-free entry: the cost and rows
+// of the cheapest way found to join it, and the split (outer, inner) that
+// achieves it; singletons hold their relation's access path. Pricing a
+// split runs the optimizer's PriceJoin on the two entries, so no PlanNode
+// is built or cloned per candidate: the plan tree is built once, at the
+// end, by recursing over the stored splits through BestJoin.
 //
-// With the current cost model, join cost is monotone in child cost and
-// insensitive to input orderings (merge join always sorts), so propagating
-// only the cheapest plan per subproblem is exact; the per-subproblem lists
-// retain ordering-diverse alternatives (dominance-pruned) for operators
-// that produce sorted output, which is where interesting-order support
-// plugs in when the cost model learns to exploit it.
+// Join cost is monotone in child cost and insensitive to input orderings
+// (merge join always charges both sorts), so one cheapest entry per
+// subproblem is exact. An explicit budget turns an infeasibly dense plan
+// space into a ResourceExhausted error instead of an open-ended walk.
 #ifndef HFQ_OPTIMIZER_PLAN_GEN_H_
 #define HFQ_OPTIMIZER_PLAN_GEN_H_
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -29,108 +26,40 @@ namespace hfq {
 
 class TraditionalOptimizer;
 
-/// The physical output property a plan guarantees: either unsorted, or
-/// sorted on one column of one relation (what a B-tree index scan or a
-/// sort-merge join produces).
-struct PlanOrdering {
-  bool sorted = false;
-  int rel_idx = -1;     // Relation owning the sort column (when sorted).
-  std::string column;   // Sort column name (when sorted).
+/// Join-graph components of at most this many relations walk every subset,
+/// internally-disconnected ones included (they get cross-product plans when
+/// no predicate-connected split exists, like PostgreSQL's clauseless
+/// joins); larger components enumerate connected subgraphs only. The
+/// cross products earn their Theta(3^n) walk: on the 98 plan_cold
+/// benchmark queries (4-10 relations, all 7 topologies), connected-only
+/// enumeration gives a strictly costlier plan on 17, up to 35% costlier
+/// (snowflake-8: 84.4 vs 114.1).
+inline constexpr int kExhaustiveRelations = 12;
 
-  bool operator==(const PlanOrdering& other) const {
-    if (sorted != other.sorted) return false;
-    if (!sorted) return true;
-    return rel_idx == other.rel_idx && column == other.column;
-  }
-  bool operator!=(const PlanOrdering& other) const {
-    return !(*this == other);
-  }
-};
-
-/// True when a plan with ordering `a` can serve every consumer a plan with
-/// ordering `b` could: any ordering covers "unsorted"; a sort order covers
-/// only itself.
-bool OrderingCovers(const PlanOrdering& a, const PlanOrdering& b);
-
-/// Derives the output ordering of an annotated plan node: B-tree index
-/// scans are sorted on the index column, merge joins on the (outer-side)
-/// key of their first join predicate, everything else is unsorted.
-PlanOrdering DerivePlanOrdering(const Query& query, const PlanNode& plan);
-
-/// Budgets for the plan generator. A query whose join graph induces more
-/// connected subproblems than `max_subproblems` is not exhaustively
-/// plannable at this budget: FindCheapestJoinPlan returns
-/// ResourceExhausted (callers fall back to GEQO). `max_plans_per_subproblem`
-/// bounds each dominance-pruned plan list; truncation is deterministic and
-/// never evicts a subproblem's cheapest plan, so enumeration stays exact
-/// w.r.t. cheapest cost at any list budget >= 1.
+/// Budgets for the plan generator. A query inducing more DP subproblems
+/// (plus, for a disconnected join graph, 2^components cross-combination
+/// states) than `max_subproblems` is not exhaustively plannable at this
+/// budget: FindCheapestJoinPlan returns ResourceExhausted (callers fall
+/// back to GEQO).
 struct PlanGenOptions {
   int64_t max_subproblems = 20000;
-  int max_plans_per_subproblem = 8;
-  /// Components with at most this many relations enumerate the historic
-  /// DPsize subset space: *every* within-component subset, including
-  /// internally-disconnected ones, which get cross-product plans when no
-  /// predicate-connected split exists (PostgreSQL-style clauseless joins).
-  /// That space is Theta(3^n) but contains plans — cross-product
-  /// intermediates under a later predicate-connected join — that
-  /// occasionally undercut every connected plan, and it is what the
-  /// pre-plan_gen enumerator searched, so staying on it keeps cheapest
-  /// plans bit-identical at historic sizes. Larger components switch to
-  /// connected subgraphs only: exact over the plan space every other
-  /// planner (learned envs, GEQO) can actually reach, and polynomial on
-  /// sparse graphs.
-  int exhaustive_relations = 12;
 };
 
 /// Counters describing one enumeration run.
 struct PlanGenStats {
-  int64_t subproblems = 0;        // Connected subproblems materialized.
-  int64_t candidates = 0;         // Plans offered to AddPlan.
-  int64_t plans_kept = 0;         // Currently retained across all lists.
-  int64_t plans_dominated = 0;    // Rejected or evicted by dominance.
-  int64_t plans_truncated = 0;    // Evicted by the per-list budget.
+  int64_t subproblems = 0;  // Subproblems materialized.
 };
 
-/// One plan retained for a subproblem, with its derived output ordering.
-struct SubPlan {
-  PlanNodePtr plan;
-  PlanOrdering ordering;
-};
-
-/// A RelSet-keyed DP entry: the dominance-pruned list of plans that join
-/// exactly this relation set. Exposed (rather than an implementation
-/// detail) so AddPlan's pruning rules are unit-testable in isolation.
-struct Subproblem {
-  std::vector<SubPlan> plans;  // Insertion order; pruned + budgeted.
-  int cheapest = -1;           // Index of the cheapest plan (ties: oldest).
-
-  /// RDF-3X addPlan: rejects `plan` if an existing plan with covering
-  /// ordering costs no more; evicts existing plans that cost strictly more
-  /// than `plan` under a covering ordering; keeps cost-tied plans with
-  /// incomparable orderings. When the list exceeds `max_plans`, evicts the
-  /// costliest non-cheapest plan (ties: newest), so truncation is
-  /// deterministic and the cheapest plan always survives. Returns true if
-  /// `plan` was retained. `stats` may be null.
-  bool AddPlan(PlanNodePtr plan, PlanOrdering ordering, int max_plans,
-               PlanGenStats* stats);
-
-  /// The cheapest retained plan (never null once a plan was added).
-  const PlanNode* CheapestPlan() const;
-};
-
-/// Exhaustive-within-budget join enumeration over a query's connected
-/// subgraphs. Operator and orientation choice delegate to the optimizer's
-/// BestJoin, so the cheapest plan is bit-identical to the historic
-/// System-R DPsize enumerator wherever both are feasible.
+/// Exhaustive-within-budget join enumeration. Operator and orientation
+/// choice use the optimizer's PriceJoin, the same rules BestJoin applies.
 class PlanGenerator {
  public:
   /// `optimizer` and `query` must outlive the generator.
   PlanGenerator(TraditionalOptimizer* optimizer, const Query& query,
                 PlanGenOptions options = PlanGenOptions());
 
-  /// Runs the enumeration and returns (a clone-free move of) the cheapest
-  /// plan joining all relations, or ResourceExhausted when the join graph
-  /// induces more connected subproblems than the budget allows.
+  /// Runs the enumeration and returns the cheapest plan joining all
+  /// relations, or ResourceExhausted when the query exceeds the budget.
   /// The query must have at least 2 relations.
   Result<PlanNodePtr> FindCheapestJoinPlan();
 
@@ -143,11 +72,30 @@ class PlanGenerator {
       const Query& query, int64_t max_subproblems);
 
  private:
+  /// The cheapest way found to join one relation set. Singletons have
+  /// outer == inner == 0; their plan is the relation's access path.
+  struct Entry {
+    double cost = 0.0;
+    double rows = 0.0;
+    RelSet outer = 0;
+    RelSet inner = 0;
+  };
+
+  /// Prices both orientations of joining `s1` and `s2` into a set of
+  /// `rows` rows (`s1` as outer first, so a cost tie keeps that
+  /// orientation) and records the split in `best` if strictly cheaper.
+  void OfferSplit(RelSet s1, RelSet s2, const std::vector<int>& preds,
+                  double rows, Entry* best) const;
+
+  /// Builds the plan for `s` from the stored splits.
+  PlanNodePtr Build(RelSet s);
+
   TraditionalOptimizer* optimizer_;
   const Query& query_;
   PlanGenOptions options_;
   PlanGenStats stats_;
-  std::unordered_map<RelSet, Subproblem> table_;
+  std::unordered_map<RelSet, Entry> table_;
+  std::vector<PlanNodePtr> access_;  // Per relation, moved out by Build.
 };
 
 }  // namespace hfq

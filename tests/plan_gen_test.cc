@@ -1,11 +1,12 @@
-// Tests for the shared plan-generator core (src/optimizer/plan_gen.{h,cc}):
-// AddPlan dominance-pruning rules in isolation, connected-subgraph
-// enumeration counts and budgets, the property that the dominance-pruned
-// generator's cheapest cost equals an in-test old-semantics exhaustive
-// DPsize reference across every topology at <= 10 relations and at any
-// plan-list budget, and large-join behavior (sparse graphs plan exactly
-// where the old 3^n enumerator was infeasible; dense graphs degrade to a
-// clean ResourceExhausted / GEQO fallback).
+// Tests for the plan generator (src/optimizer/plan_gen.{h,cc}):
+// connected-subgraph enumeration counts and budgets, the property that the
+// generator's cheapest plan equals, node for node, an in-test
+// old-semantics exhaustive DPsize reference across every topology at
+// <= 10 relations, the same check against a connected-only reference
+// above kExhaustiveRelations, and large-join behavior (sparse graphs plan
+// exactly where the old 3^n enumerator was infeasible; dense graphs and
+// many-component cross products degrade to a clean ResourceExhausted /
+// GEQO fallback).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,112 +18,12 @@
 #include "optimizer/optimizer.h"
 #include "optimizer/plan_gen.h"
 #include "plan/relset.h"
+#include "sql/parser.h"
 #include "tests/test_common.h"
 #include "workload/generator.h"
 
 namespace hfq {
 namespace {
-
-// --- AddPlan dominance rules -------------------------------------------
-
-PlanNodePtr FakePlan(double cost) {
-  PlanNodePtr plan = MakeSeqScan(0, {});
-  plan->est_cost = cost;
-  return plan;
-}
-
-PlanOrdering Unsorted() { return PlanOrdering{}; }
-
-PlanOrdering SortedOn(const std::string& column) {
-  PlanOrdering ordering;
-  ordering.sorted = true;
-  ordering.rel_idx = 0;
-  ordering.column = column;
-  return ordering;
-}
-
-double CostAt(const Subproblem& sp, size_t i) {
-  return sp.plans[i].plan->est_cost;
-}
-
-TEST(AddPlanTest, DominatedNewcomerDropped) {
-  Subproblem sp;
-  PlanGenStats stats;
-  EXPECT_TRUE(sp.AddPlan(FakePlan(10.0), Unsorted(), 8, &stats));
-  // Same ordering, higher cost: dominated.
-  EXPECT_FALSE(sp.AddPlan(FakePlan(12.0), Unsorted(), 8, &stats));
-  // Equal cost, same ordering: the incumbent wins the tie (historic
-  // strict-< replacement rule).
-  EXPECT_FALSE(sp.AddPlan(FakePlan(10.0), Unsorted(), 8, &stats));
-  ASSERT_EQ(sp.plans.size(), 1u);
-  EXPECT_EQ(CostAt(sp, 0), 10.0);
-  EXPECT_EQ(stats.plans_dominated, 2);
-}
-
-TEST(AddPlanTest, CheaperNewcomerEvictsDominated) {
-  Subproblem sp;
-  EXPECT_TRUE(sp.AddPlan(FakePlan(12.0), Unsorted(), 8, nullptr));
-  EXPECT_TRUE(sp.AddPlan(FakePlan(10.0), Unsorted(), 8, nullptr));
-  ASSERT_EQ(sp.plans.size(), 1u);
-  EXPECT_EQ(CostAt(sp, 0), 10.0);
-  EXPECT_EQ(sp.CheapestPlan()->est_cost, 10.0);
-}
-
-TEST(AddPlanTest, IncomparableOrderingsKept) {
-  Subproblem sp;
-  // A costlier plan with a sort order an unsorted plan cannot provide
-  // survives; so do equal-cost plans with different orderings.
-  EXPECT_TRUE(sp.AddPlan(FakePlan(10.0), Unsorted(), 8, nullptr));
-  EXPECT_TRUE(sp.AddPlan(FakePlan(12.0), SortedOn("a"), 8, nullptr));
-  EXPECT_TRUE(sp.AddPlan(FakePlan(12.0), SortedOn("b"), 8, nullptr));
-  EXPECT_EQ(sp.plans.size(), 3u);
-  EXPECT_EQ(sp.CheapestPlan()->est_cost, 10.0);
-}
-
-TEST(AddPlanTest, SortedCoversUnsorted) {
-  Subproblem sp;
-  // A sorted plan serves unsorted consumers too: a costlier unsorted
-  // newcomer is dominated, and a cheaper unsorted newcomer evicts a
-  // costlier sorted incumbent only if... it does not: the sorted
-  // incumbent offers an ordering the newcomer lacks.
-  EXPECT_TRUE(sp.AddPlan(FakePlan(10.0), SortedOn("a"), 8, nullptr));
-  EXPECT_FALSE(sp.AddPlan(FakePlan(12.0), Unsorted(), 8, nullptr));
-  EXPECT_TRUE(sp.AddPlan(FakePlan(5.0), Unsorted(), 8, nullptr));
-  EXPECT_EQ(sp.plans.size(), 2u);
-  EXPECT_EQ(sp.CheapestPlan()->est_cost, 5.0);
-}
-
-TEST(AddPlanTest, BudgetTruncationIsDeterministicAndSparesCheapest) {
-  Subproblem sp;
-  PlanGenStats stats;
-  // Distinct sort columns: pairwise incomparable, so only the budget can
-  // evict. Budget 2: the costliest non-cheapest plan goes, ties evict the
-  // newest.
-  EXPECT_TRUE(sp.AddPlan(FakePlan(10.0), SortedOn("a"), 2, &stats));
-  EXPECT_TRUE(sp.AddPlan(FakePlan(20.0), SortedOn("b"), 2, &stats));
-  // 30 enters, is itself the costliest: evicted immediately.
-  EXPECT_FALSE(sp.AddPlan(FakePlan(30.0), SortedOn("c"), 2, &stats));
-  ASSERT_EQ(sp.plans.size(), 2u);
-  EXPECT_EQ(CostAt(sp, 0), 10.0);
-  EXPECT_EQ(CostAt(sp, 1), 20.0);
-  // 15 enters and displaces the 20 (costliest non-cheapest).
-  EXPECT_TRUE(sp.AddPlan(FakePlan(15.0), SortedOn("d"), 2, &stats));
-  ASSERT_EQ(sp.plans.size(), 2u);
-  EXPECT_EQ(CostAt(sp, 0), 10.0);
-  EXPECT_EQ(CostAt(sp, 1), 15.0);
-  // Cost tie among evictees: the newest goes (the incoming 15-sorted-e).
-  EXPECT_FALSE(sp.AddPlan(FakePlan(15.0), SortedOn("e"), 2, &stats));
-  ASSERT_EQ(sp.plans.size(), 2u);
-  EXPECT_EQ(CostAt(sp, 1), 15.0);
-  EXPECT_EQ(stats.plans_truncated, 3);  // The 30, the 20, the tied 15.
-  // The cheapest plan survives any budget, even 1.
-  Subproblem tight;
-  EXPECT_TRUE(tight.AddPlan(FakePlan(50.0), SortedOn("a"), 1, nullptr));
-  EXPECT_TRUE(tight.AddPlan(FakePlan(40.0), SortedOn("b"), 1, nullptr));
-  EXPECT_FALSE(tight.AddPlan(FakePlan(45.0), SortedOn("c"), 1, nullptr));
-  ASSERT_EQ(tight.plans.size(), 1u);
-  EXPECT_EQ(tight.CheapestPlan()->est_cost, 40.0);
-}
 
 // --- Connected-subgraph enumeration ------------------------------------
 
@@ -170,7 +71,7 @@ TEST_F(PlanGenTest, ConnectedSubsetsHonorsBudget) {
   EXPECT_EQ(subsets.status().code(), StatusCode::kResourceExhausted);
 }
 
-// --- Pruned DP == exhaustive DP (the property test) --------------------
+// --- Plan generator == exhaustive DP (the property test) ----------------
 
 // In-test reference: the pre-plan_gen DPsize semantics over one connected
 // component — EVERY submask (internally-disconnected ones included),
@@ -218,8 +119,9 @@ std::map<RelSet, PlanNodePtr> ReferenceComponentTable(
 
 // Reference for a whole (possibly disconnected) query: per-component
 // DPsize tables, then the exact cross-combination DP over components the
-// production enumerator uses.
-double ReferenceCheapestCost(TraditionalOptimizer* opt, const Query& query) {
+// production enumerator uses. Returns the cheapest plan.
+PlanNodePtr ReferenceCheapestPlan(TraditionalOptimizer* opt,
+                                  const Query& query) {
   const int n = query.num_relations();
   const RelSet all = RelSetAll(n);
   // Connected components of the join graph.
@@ -246,7 +148,7 @@ double ReferenceCheapestCost(TraditionalOptimizer* opt, const Query& query) {
     auto table = ReferenceComponentTable(opt, query, comp);
     comp_best.push_back(std::move(table[comp]));
   }
-  if (comp_best.size() == 1) return comp_best[0]->est_cost;
+  if (comp_best.size() == 1) return std::move(comp_best[0]);
   // Cross-combine whole components (DP over component masks).
   const size_t k = comp_best.size();
   std::vector<PlanNodePtr> combo(size_t{1} << k);
@@ -265,7 +167,29 @@ double ReferenceCheapestCost(TraditionalOptimizer* opt, const Query& query) {
     }
     combo[mask] = std::move(best);
   }
-  return combo.back()->est_cost;
+  return std::move(combo.back());
+}
+
+// Node-for-node plan equality: operator, orientation (each child's
+// relation set), access path, predicates, and the cost-model annotations.
+void ExpectSamePlan(const PlanNode& got, const PlanNode& want,
+                    const std::string& where) {
+  EXPECT_EQ(got.op, want.op) << where;
+  EXPECT_EQ(got.rels, want.rels) << where;
+  EXPECT_EQ(got.rel_idx, want.rel_idx) << where;
+  EXPECT_EQ(got.index_kind, want.index_kind) << where;
+  EXPECT_EQ(got.index_column, want.index_column) << where;
+  EXPECT_EQ(got.index_sel_idx, want.index_sel_idx) << where;
+  EXPECT_EQ(got.filter_sel_idxs, want.filter_sel_idxs) << where;
+  EXPECT_EQ(got.join_pred_idxs, want.join_pred_idxs) << where;
+  EXPECT_EQ(got.inner_probe_pred_idx, want.inner_probe_pred_idx) << where;
+  EXPECT_EQ(got.est_rows, want.est_rows) << where;
+  EXPECT_EQ(got.est_cost, want.est_cost) << where;
+  ASSERT_EQ(got.children.size(), want.children.size()) << where;
+  for (size_t i = 0; i < got.children.size(); ++i) {
+    ExpectSamePlan(*got.child(i), *want.child(i),
+                   where + "/" + std::to_string(i));
+  }
 }
 
 TEST_F(PlanGenTest, PrunedCheapestCostMatchesExhaustiveReference) {
@@ -278,23 +202,15 @@ TEST_F(PlanGenTest, PrunedCheapestCostMatchesExhaustiveReference) {
   for (JoinTopology topology : topologies) {
     for (int n : {5, 10}) {
       Query query = TopologyQuery(topology, n, ++seed);
-      const double reference = ReferenceCheapestCost(&expert(), query);
-      // Dominance pruning and the per-list budget must not change the
-      // cheapest cost — at ANY budget >= 1 (truncation never evicts a
-      // subproblem's cheapest plan).
-      for (int budget : {1, 2, 8}) {
-        PlanGenOptions options;
-        options.max_plans_per_subproblem = budget;
-        PlanGenerator gen(&expert(), query, options);
-        auto plan = gen.FindCheapestJoinPlan();
-        ASSERT_TRUE(plan.ok())
-            << JoinTopologyName(topology) << " r" << n << ": "
-            << plan.status().ToString();
-        EXPECT_EQ((*plan)->est_cost, reference)
-            << JoinTopologyName(topology) << " r" << n << " budget "
-            << budget;
-        EXPECT_EQ((*plan)->rels, RelSetAll(n));
-      }
+      const PlanNodePtr reference = ReferenceCheapestPlan(&expert(), query);
+      PlanGenerator gen(&expert(), query, PlanGenOptions());
+      auto plan = gen.FindCheapestJoinPlan();
+      ASSERT_TRUE(plan.ok()) << JoinTopologyName(topology) << " r" << n
+                             << ": " << plan.status().ToString();
+      EXPECT_EQ((*plan)->rels, RelSetAll(n));
+      ExpectSamePlan(**plan, *reference,
+                     std::string(JoinTopologyName(topology)) + " r" +
+                         std::to_string(n));
     }
   }
 }
@@ -311,6 +227,62 @@ TEST_F(PlanGenTest, SixteenRelationChainPlansExactly) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   EXPECT_EQ((*plan)->rels, RelSetAll(16));
   EXPECT_EQ(gen.stats().subproblems, 136);
+}
+
+// In-test reference for the connected-only regime of one connected query:
+// the same DPsize walk as ReferenceComponentTable, restricted to connected
+// subsets and predicate-connected splits. Returns the cheapest plan.
+PlanNodePtr ReferenceConnectedPlan(TraditionalOptimizer* opt,
+                                   const Query& query) {
+  const RelSet all = RelSetAll(query.num_relations());
+  std::map<RelSet, PlanNodePtr> table;
+  for (RelSet mask = 1; mask != 0 && mask <= all; ++mask) {
+    if (!query.IsConnected(mask)) continue;
+    if (RelSetCount(mask) == 1) {
+      table[mask] = opt->BestAccessPath(query, std::countr_zero(mask));
+      continue;
+    }
+    PlanNodePtr best;
+    for (RelSet s1 = (mask - 1) & mask; s1 != 0; s1 = (s1 - 1) & mask) {
+      const RelSet s2 = mask & ~s1;
+      if (s1 > s2 || !table.contains(s1) || !table.contains(s2)) continue;
+      if (query.JoinPredsBetween(s1, s2).empty()) continue;
+      PlanNodePtr cand = opt->BestJoinEitherOrientation(
+          query, table[s1]->Clone(), table[s2]->Clone());
+      if (best == nullptr || cand->est_cost < best->est_cost) {
+        best = std::move(cand);
+      }
+    }
+    HFQ_CHECK(best != nullptr);
+    table[mask] = std::move(best);
+  }
+  return std::move(table[all]);
+}
+
+TEST_F(PlanGenTest, ConnectedRegimeMatchesConnectedReference) {
+  // Components above kExhaustiveRelations enumerate connected subgraphs
+  // only, where the exhaustive reference (a 3^n walk) cannot run; check
+  // them node for node against the connected-only reference instead.
+  struct Case {
+    JoinTopology topology;
+    int n;
+    uint64_t seed;
+    int64_t subproblems;
+  };
+  const Case cases[] = {{JoinTopology::kChain, 16, 900, 136},
+                        {JoinTopology::kSnowflake, 14, 902, 1461}};
+  for (const Case& c : cases) {
+    ASSERT_GT(c.n, kExhaustiveRelations);
+    Query query = TopologyQuery(c.topology, c.n, c.seed);
+    PlanGenerator gen(&expert(), query, PlanGenOptions());
+    auto plan = gen.FindCheapestJoinPlan();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(gen.stats().subproblems, c.subproblems);
+    const PlanNodePtr reference = ReferenceConnectedPlan(&expert(), query);
+    ExpectSamePlan(**plan, *reference,
+                   std::string(JoinTopologyName(c.topology)) + " r" +
+                       std::to_string(c.n));
+  }
 }
 
 TEST_F(PlanGenTest, DenseLargeJoinDegradesToResourceExhausted) {
@@ -330,6 +302,29 @@ TEST_F(PlanGenTest, DenseLargeJoinDegradesToResourceExhausted) {
   auto fallback = optimizer.Optimize(query);
   ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
   EXPECT_EQ((*fallback)->rels, RelSetAll(16));
+}
+
+TEST_F(PlanGenTest, ManyComponentCrossProductFallsBackToGeqo) {
+  // No join predicates: 21 single-relation components, whose
+  // cross-combination has 2^21 states and a 3^21 split walk. The budget
+  // counts those states, so the generator reports ResourceExhausted...
+  std::string sql = "SELECT count(*) FROM title t0";
+  for (int i = 1; i <= 20; ++i) sql += ", title t" + std::to_string(i);
+  auto query = ParseSql(sql, engine().catalog(), "pg_cross_product_r21");
+  ASSERT_TRUE(query.ok()) << query.status().ToString();
+  PlanGenerator gen(&expert(), *query, PlanGenOptions());
+  auto plan = gen.FindCheapestJoinPlan();
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kResourceExhausted);
+  // ...and Optimize, with the threshold raised to admit it (as the
+  // hands-free facade's DP baseline does), plans it with GEQO.
+  OptimizerOptions options;
+  options.geqo_threshold = 32;
+  TraditionalOptimizer optimizer(&engine().catalog(),
+                                 &engine().cost_model(), options);
+  auto fallback = optimizer.Optimize(*query);
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  EXPECT_EQ((*fallback)->rels, RelSetAll(21));
 }
 
 }  // namespace
