@@ -46,9 +46,12 @@
 // trains a small optimizer, stands up a PlanServer, and hammers Plan()
 // from --serve-threads threads for --serve-seconds while a background
 // thread keeps retraining and swapping policy generations. Prints
-// sustained plans/sec, p50/p99 service latency, and the cache hit rate
-// (CI's serve-smoke step and `scripts/check.sh --serve-smoke` run it
-// briefly).
+// sustained plans/sec, p50/p99 service latency, and the cache hit rate.
+// It then serves a stream of never-seen query structures that all share
+// one name, as a careless client would send them. The exit status is
+// non-zero on any request error, or if the cardinality oracle's
+// per-structure memo holds more than its capacity (CI's serve-smoke step
+// and `scripts/check.sh --serve-smoke` run it briefly).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -229,6 +232,34 @@ int RunServeStress(const ServeStressConfig& config) {
               static_cast<unsigned long long>(stats.policy_publishes));
   std::printf("fallbacks     %llu budget-expired greedy fallbacks\n",
               static_cast<unsigned long long>(stats.greedy_fallbacks));
+
+  // Never-seen structures under one client-chosen name: every request must
+  // plan, and the oracle must hold no more memos than its capacity however
+  // many structures arrive.
+  const size_t memo_capacity = hfq::TrueCardinalityOracle::kMemoCapacity;
+  const int fresh_count = static_cast<int>(memo_capacity) + 256;
+  std::atomic<int> fresh_next{0};
+  auto fresh_loop = [&](int thread_id) {
+    hfq::WorkloadGenerator gen(&(*engine)->catalog(),
+                               config.seed + 1000 + thread_id);
+    for (int i = fresh_next.fetch_add(1); i < fresh_count;
+         i = fresh_next.fetch_add(1)) {
+      auto q = gen.GenerateQuery(4 + i % 3, "client_query");
+      HFQ_CHECK(q.ok());
+      if (!server.Plan(*q, config.budget_ms).ok()) errors.fetch_add(1);
+    }
+  };
+  threads.clear();
+  for (int t = 0; t < config.threads; ++t) {
+    threads.emplace_back(fresh_loop, t);
+  }
+  for (auto& t : threads) t.join();
+  const hfq::TrueCardinalityOracle& oracle = (*engine)->oracle();
+  const size_t memo_size = oracle.memo_size();
+  std::printf("fresh         %d never-seen structures named client_query; "
+              "oracle memo %zu/%zu (%llu evicted)\n",
+              fresh_count, memo_size, memo_capacity,
+              static_cast<unsigned long long>(oracle.memo_stats().evictions));
   if (errors.load() > 0) {
     std::fprintf(stderr, "FAILED: %llu serving errors\n",
                  static_cast<unsigned long long>(errors.load()));
@@ -236,6 +267,11 @@ int RunServeStress(const ServeStressConfig& config) {
   }
   if (stats.requests == 0) {
     std::fprintf(stderr, "FAILED: no requests served\n");
+    return 1;
+  }
+  if (memo_size > memo_capacity) {
+    std::fprintf(stderr, "FAILED: oracle memo holds %zu > %zu structures\n",
+                 memo_size, memo_capacity);
     return 1;
   }
   std::printf("OK\n");

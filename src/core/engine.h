@@ -35,7 +35,7 @@ struct EngineOptions {
 };
 
 /// One database + everything built on top of it. Create once, share across
-/// experiments (the oracle memoizes per query name).
+/// experiments (the oracle memoizes exact counts per query structure).
 class Engine {
  public:
   /// Builds the synthetic IMDB-like database and the full stack.

@@ -93,6 +93,7 @@ void FullPipelineEnv::SetQuery(const Query* query) {
   HFQ_CHECK(query != nullptr);
   HFQ_CHECK(query->num_relations() <= featurizer_->max_relations());
   query_ = query;
+  feat_cache_.Bind(FeaturizeCache::NewBinding());
   stage_ = Stage::kDone;
 }
 
@@ -448,6 +449,7 @@ std::unique_ptr<SearchEnv> FullPipelineEnv::CloneSearch() const {
   auto clone = std::make_unique<FullPipelineEnv>(featurizer_, expert_,
                                                  reward_, config_);
   clone->query_ = query_;
+  clone->feat_cache_.Bind(feat_cache_.binding);
   clone->stage_ = stage_;
   clone->subtrees_.reserve(subtrees_.size());
   for (const auto& tree : subtrees_) {
@@ -480,6 +482,7 @@ bool FullPipelineEnv::TryCopySearchStateFrom(const SearchEnv& other) {
   reward_ = src->reward_;
   config_ = src->config_;
   query_ = src->query_;
+  feat_cache_.Bind(src->feat_cache_.binding);
   stage_ = src->stage_;
   subtrees_.clear();
   subtrees_.reserve(src->subtrees_.size());

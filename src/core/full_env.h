@@ -150,7 +150,8 @@ class FullPipelineEnv : public SearchEnv {
   PlanNodePtr final_plan_;
   double last_reward_ = 0.0;
   /// Query-static featurization scratch (mutable: StateVector is const but
-  /// warms the cache). Not copied on clone/pool-copy — see JoinOrderEnv.
+  /// warms the cache). Bound in SetQuery; only the binding token is
+  /// copied on clone/pool-copy — see JoinOrderEnv.
   mutable FeaturizeCache feat_cache_;
 };
 

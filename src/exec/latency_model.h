@@ -55,8 +55,7 @@ class LatencySimulator {
 
   /// Simulated wall-clock milliseconds for the plan. Const (no simulator
   /// state): safe to call from any number of threads concurrently as long
-  /// as the cardinality source is internally synchronized (the oracle and
-  /// estimator memos are).
+  /// as the cardinality source is (the oracle and the estimator are).
   double SimulateMs(const Query& query, const PlanNode& plan) const;
 
   const LatencyParams& params() const { return params_; }

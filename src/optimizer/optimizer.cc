@@ -14,41 +14,8 @@ TraditionalOptimizer::TraditionalOptimizer(const Catalog* catalog,
   HFQ_CHECK(catalog != nullptr && cost_model != nullptr);
 }
 
-TraditionalOptimizer::AccessPathEntry&
-TraditionalOptimizer::GuardedAccessEntryLocked(const Query& query) {
-  // Always hash, like the estimator's memo guard: an address fast path
-  // would be defeated by stack reuse of same-named variants.
-  uint64_t fp = query.StructuralFingerprint();
-  auto it = access_cache_.try_emplace(query.name).first;
-  AccessPathEntry& entry = it->second;
-  if (entry.per_rel.empty()) {
-    entry.fingerprint = fp;
-    entry.per_rel.resize(static_cast<size_t>(query.num_relations()));
-  }
-  HFQ_CHECK_MSG(entry.fingerprint == fp,
-                ("access-path memo is keyed by query name, but two "
-                 "structurally different queries share the name '" +
-                 query.name + "'")
-                    .c_str());
-  return entry;
-}
-
 PlanNodePtr TraditionalOptimizer::BestAccessPath(const Query& query,
                                                  int rel) {
-  std::lock_guard<std::mutex> lock(access_mu_);
-  AccessPathEntry& entry = GuardedAccessEntryLocked(query);
-  PlanNodePtr& proto = entry.per_rel[static_cast<size_t>(rel)];
-  if (proto == nullptr) proto = ComputeBestAccessPath(query, rel);
-  return proto->Clone();
-}
-
-void TraditionalOptimizer::ClearAccessPathCache() {
-  std::lock_guard<std::mutex> lock(access_mu_);
-  access_cache_.clear();
-}
-
-PlanNodePtr TraditionalOptimizer::ComputeBestAccessPath(const Query& query,
-                                                        int rel) {
   std::vector<int> sels = query.SelectionsOn(rel);
   PlanNodePtr best = MakeSeqScan(rel, sels);
   cost_model_->Annotate(query, best.get());
@@ -207,36 +174,19 @@ Result<PlanNodePtr> TraditionalOptimizer::PhysicalizeJoinTree(
     PlanNodePtr scan = BestAccessPath(query, tree.rel_idx);
     return AddAggregateIfNeeded(query, std::move(scan));
   }
-  // All leaf access paths in one guarded memo pass: a single lock +
-  // fingerprint check instead of one per relation (plan search
-  // physicalizes many candidate trees per query, so this path is hot).
-  std::vector<PlanNodePtr> access(
-      static_cast<size_t>(query.num_relations()));
-  {
-    std::lock_guard<std::mutex> lock(access_mu_);
-    AccessPathEntry& entry = GuardedAccessEntryLocked(query);
-    for (int rel : RelSetMembers(tree.rels)) {
-      PlanNodePtr& proto = entry.per_rel[static_cast<size_t>(rel)];
-      if (proto == nullptr) proto = ComputeBestAccessPath(query, rel);
-      access[static_cast<size_t>(rel)] = proto->Clone();
-    }
-  }
   // Recursively physicalize children, then pick the join operator with the
   // given orientation (left = outer, right = inner, as the agent chose).
   struct Builder {
     TraditionalOptimizer* opt;
     const Query& query;
-    std::vector<PlanNodePtr>& access;
     PlanNodePtr Build(const JoinTreeNode& node) {
-      if (node.IsLeaf()) {
-        return std::move(access[static_cast<size_t>(node.rel_idx)]);
-      }
+      if (node.IsLeaf()) return opt->BestAccessPath(query, node.rel_idx);
       PlanNodePtr left = Build(*node.left);
       PlanNodePtr right = Build(*node.right);
       return opt->BestJoin(query, std::move(left), std::move(right));
     }
   };
-  Builder builder{this, query, access};
+  Builder builder{this, query};
   PlanNodePtr plan = builder.Build(tree);
   return AddAggregateIfNeeded(query, std::move(plan));
 }

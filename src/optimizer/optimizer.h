@@ -13,9 +13,6 @@
 #define HFQ_OPTIMIZER_OPTIMIZER_H_
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -70,16 +67,8 @@ class TraditionalOptimizer {
                                           const JoinTreeNode& tree);
 
   /// Cheapest access path (seq scan vs available index scans) for one
-  /// relation, annotated. Memoized per (query name, relation): the choice
-  /// depends only on the query, yet every PhysicalizeJoinTree call used to
-  /// recompute all of them — and plan search physicalizes dozens of
-  /// candidate trees per query. Returns a clone of the memoized prototype,
-  /// so results are bit-identical to the uncached computation.
+  /// relation, annotated.
   PlanNodePtr BestAccessPath(const Query& query, int rel);
-
-  /// Drops the access-path memo (call when switching workloads to bound
-  /// memory; the estimator's ClearCache is the companion).
-  void ClearAccessPathCache();
 
   /// One join input as operator selection sees it.
   struct JoinInput {
@@ -123,15 +112,6 @@ class TraditionalOptimizer {
   const Catalog* catalog() const { return catalog_; }
 
  private:
-  struct AccessPathEntry;
-
-  /// Uncached BestAccessPath body; fills the memo prototype.
-  PlanNodePtr ComputeBestAccessPath(const Query& query, int rel);
-
-  /// Returns the memo entry for `query` (creating it if needed), with the
-  /// fingerprint aliasing guard applied. Caller must hold access_mu_.
-  AccessPathEntry& GuardedAccessEntryLocked(const Query& query);
-
   /// The build half of BestJoin: the annotated join node for `choice`.
   PlanNodePtr BuildJoin(const Query& query, const JoinChoice& choice,
                         std::vector<int> preds, PlanNodePtr outer,
@@ -149,17 +129,6 @@ class TraditionalOptimizer {
   const Catalog* catalog_;
   CostModel* cost_model_;
   OptimizerOptions options_;
-
-  /// Access-path memo, keyed by query name like the estimator's row memo;
-  /// the structural fingerprint dies on two different queries sharing a
-  /// name (same policy as CardinalityEstimator). Synchronized: parallel
-  /// rollout workers share one optimizer.
-  struct AccessPathEntry {
-    uint64_t fingerprint = 0;
-    std::vector<PlanNodePtr> per_rel;  // null until first computed
-  };
-  std::mutex access_mu_;
-  std::map<std::string, AccessPathEntry> access_cache_;
 };
 
 }  // namespace hfq

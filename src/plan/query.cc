@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <set>
-#include <sstream>
 
 namespace hfq {
 
@@ -171,64 +170,74 @@ uint64_t Query::StructuralFingerprint() const {
 }
 
 std::string Query::ToSql() const {
-  std::ostringstream out;
-  out << "SELECT ";
+  // Plain appends, no stream: this text is also the exact identity of the
+  // plan cache and the oracle memo, built once per lookup.
+  std::string out;
+  out.reserve(64 + 48 * (relations.size() + joins.size() +
+                         selections.size()));
+  auto col = [this, &out](const ColumnRef& ref) {
+    out += relations[static_cast<size_t>(ref.rel_idx)].alias;
+    out += '.';
+    out += ref.column;
+  };
+  out += "SELECT ";
   bool first = true;
   for (const auto& g : group_by) {
-    if (!first) out << ", ";
-    out << relations[static_cast<size_t>(g.rel_idx)].alias << "." << g.column;
+    if (!first) out += ", ";
+    col(g);
     first = false;
   }
   for (const auto& agg : aggregates) {
-    if (!first) out << ", ";
-    out << AggFuncName(agg.func) << "(";
+    if (!first) out += ", ";
+    out += AggFuncName(agg.func);
+    out += '(';
     if (agg.has_arg) {
-      out << relations[static_cast<size_t>(agg.arg.rel_idx)].alias << "."
-          << agg.arg.column;
+      col(agg.arg);
     } else {
-      out << "*";
+      out += '*';
     }
-    out << ")";
+    out += ')';
     first = false;
   }
-  if (first) out << "*";
-  out << " FROM ";
+  if (first) out += '*';
+  out += " FROM ";
   for (size_t i = 0; i < relations.size(); ++i) {
-    if (i) out << ", ";
-    out << relations[i].table;
+    if (i) out += ", ";
+    out += relations[i].table;
     if (relations[i].alias != relations[i].table) {
-      out << " AS " << relations[i].alias;
+      out += " AS ";
+      out += relations[i].alias;
     }
   }
   if (!selections.empty() || !joins.empty()) {
-    out << " WHERE ";
+    out += " WHERE ";
     bool first_pred = true;
     for (const auto& j : joins) {
-      if (!first_pred) out << " AND ";
-      out << relations[static_cast<size_t>(j.left.rel_idx)].alias << "."
-          << j.left.column << " = "
-          << relations[static_cast<size_t>(j.right.rel_idx)].alias << "."
-          << j.right.column;
+      if (!first_pred) out += " AND ";
+      col(j.left);
+      out += " = ";
+      col(j.right);
       first_pred = false;
     }
     for (const auto& s : selections) {
-      if (!first_pred) out << " AND ";
-      out << relations[static_cast<size_t>(s.column.rel_idx)].alias << "."
-          << s.column.column << " " << CmpOpName(s.op) << " "
-          << s.value.ToString();
+      if (!first_pred) out += " AND ";
+      col(s.column);
+      out += ' ';
+      out += CmpOpName(s.op);
+      out += ' ';
+      out += s.value.ToString();
       first_pred = false;
     }
   }
   if (!group_by.empty()) {
-    out << " GROUP BY ";
+    out += " GROUP BY ";
     for (size_t i = 0; i < group_by.size(); ++i) {
-      if (i) out << ", ";
-      out << relations[static_cast<size_t>(group_by[i].rel_idx)].alias << "."
-          << group_by[i].column;
+      if (i) out += ", ";
+      col(group_by[i]);
     }
   }
-  out << ";";
-  return out.str();
+  out += ';';
+  return out;
 }
 
 }  // namespace hfq

@@ -62,9 +62,8 @@ struct Query {
   std::string ToSql() const;
 
   /// Order-sensitive hash of the query's structure — everything except
-  /// `name`. Two queries with equal fingerprints are structurally
-  /// identical for caching purposes; components that memoize per query
-  /// name use this to detect two distinct queries sharing a name.
+  /// `name`. The key of every per-query cache (plan cache, oracle memo);
+  /// a 64-bit hash can collide, so those caches also compare ToSql().
   uint64_t StructuralFingerprint() const;
 };
 

@@ -1,6 +1,7 @@
 #include "rejoin/featurizer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <string>
@@ -24,6 +25,19 @@ void FillDepthWeights(const JoinTreeNode* tree, int depth, double* row) {
 }
 
 }  // namespace
+
+uint64_t FeaturizeCache::NewBinding() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+void FeaturizeCache::Bind(uint64_t new_binding) {
+  if (binding == new_binding) return;
+  binding = new_binding;
+  query = nullptr;
+  static_blocks.clear();
+  subtree_rows.clear();
+}
 
 RejoinFeaturizer::RejoinFeaturizer(int max_relations,
                                    CardinalityEstimator* estimator)
@@ -71,8 +85,7 @@ std::vector<double> RejoinFeaturizer::Featurize(
       static_cast<size_t>(n) * static_cast<size_t>(n) +
       2 * static_cast<size_t>(n);
 
-  if (cache != nullptr && cache->query == &query &&
-      cache->query_name == query.name) {
+  if (cache != nullptr && cache->query == &query) {
     std::copy(cache->static_blocks.begin(), cache->static_blocks.end(),
               features.begin() + static_cast<ptrdiff_t>(offset));
     offset += static_len;
@@ -105,7 +118,6 @@ std::vector<double> RejoinFeaturizer::Featurize(
 
     if (cache != nullptr) {
       cache->query = &query;
-      cache->query_name = query.name;
       const auto begin =
           features.begin() + static_cast<ptrdiff_t>(offset - static_len);
       cache->static_blocks.assign(begin,

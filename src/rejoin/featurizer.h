@@ -15,7 +15,7 @@
 #ifndef HFQ_REJOIN_FEATURIZER_H_
 #define HFQ_REJOIN_FEATURIZER_H_
 
-#include <string>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -29,20 +29,31 @@ namespace hfq {
 /// of the encoding (join-graph adjacency, selection selectivities, base
 /// cardinalities) depend only on the query, and block 5's per-subtree
 /// cardinality only on the subtree's relation set — but the uncached path
-/// re-asks the (internally synchronized) estimator for all of them on
-/// every state featurization. Search featurizes dozens of states per
-/// query, so the cache turns all but the first of those round-trips into
-/// local reads. Self-invalidates when the query changes (pointer or name
-/// mismatch; estimator memos are keyed by query name with structural
-/// aliasing fatal elsewhere, so name identity is already authoritative).
+/// re-asks the estimator for all of them on every state featurization.
+/// Search featurizes dozens of states per query, so the cache turns all
+/// but the first of those round-trips into local reads.
+///
+/// The contents belong to one query binding, named by the `binding`
+/// token: an env takes a fresh token in SetQuery and passes it on to every
+/// env that copies its state, and the cache empties whenever its token
+/// changes. The Query's address alone cannot tell queries apart: pooled
+/// envs outlive the query they last served, and a later query (or the same
+/// variable, reassigned) can occupy that address.
 /// Not thread-safe: one cache per env, like MlpWorkspace.
 struct FeaturizeCache {
+  uint64_t binding = 0;
+  /// The query the cached blocks were computed from; null while empty.
   const Query* query = nullptr;
-  std::string query_name;
   /// Blocks 2-4 exactly as Featurize lays them out, ready to copy.
   std::vector<double> static_blocks;
   /// Block 5 memo: subtree relation set -> log-scaled estimated rows.
   std::unordered_map<RelSet, double> subtree_rows;
+
+  /// A token no other binding in this process has used (never 0).
+  static uint64_t NewBinding();
+
+  /// Ties the cache to `new_binding`, emptying it if that is a change.
+  void Bind(uint64_t new_binding);
 };
 
 /// Fixed-size featurization of (query, subtree list) states.

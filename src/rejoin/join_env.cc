@@ -17,6 +17,7 @@ void JoinOrderEnv::SetQuery(const Query* query) {
   HFQ_CHECK(query != nullptr);
   HFQ_CHECK(query->num_relations() <= featurizer_->max_relations());
   query_ = query;
+  feat_cache_.Bind(FeaturizeCache::NewBinding());
   done_ = true;  // Must Reset() before stepping.
 }
 
@@ -34,6 +35,7 @@ std::unique_ptr<SearchEnv> JoinOrderEnv::CloneSearch() const {
   auto clone =
       std::make_unique<JoinOrderEnv>(featurizer_, reward_fn_, config_);
   clone->query_ = query_;
+  clone->feat_cache_.Bind(feat_cache_.binding);
   clone->done_ = done_;
   clone->last_reward_ = last_reward_;
   clone->subtrees_.reserve(subtrees_.size());
@@ -58,6 +60,7 @@ bool JoinOrderEnv::TryCopySearchStateFrom(const SearchEnv& other) {
   reward_fn_ = src->reward_fn_;
   config_ = src->config_;
   query_ = src->query_;
+  feat_cache_.Bind(src->feat_cache_.binding);
   done_ = src->done_;
   last_reward_ = src->last_reward_;
   subtrees_.clear();

@@ -86,10 +86,11 @@ class JoinOrderEnv : public SearchEnv {
   bool done_ = true;
   double last_reward_ = 0.0;
   /// Query-static featurization scratch (mutable: StateVector is const but
-  /// warms the cache). Deliberately NOT copied by CloneSearch /
-  /// TryCopySearchStateFrom — pooled envs keep their own warm cache, and a
-  /// cold cache only costs one estimator round-trip, while copying the
-  /// map on every fork would cost more than it saves.
+  /// warms the cache). SetQuery starts a new binding; CloneSearch /
+  /// TryCopySearchStateFrom pass on only the binding token, not the
+  /// contents — a pooled env keeps its own warm cache while it serves the
+  /// same binding, and copying the map on every fork would cost more than
+  /// it saves.
   mutable FeaturizeCache feat_cache_;
 };
 

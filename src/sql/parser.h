@@ -25,7 +25,8 @@
 namespace hfq {
 
 /// Parses `sql` into a Query validated against `catalog`. `name` becomes
-/// the query's name (must be unique within a workload for oracle caching).
+/// the query's name: a label for logs and reports that also seeds the
+/// latency simulator's noise. No cache keys on it.
 Result<Query> ParseSql(const std::string& sql, const Catalog& catalog,
                        const std::string& name = "adhoc");
 

@@ -43,32 +43,8 @@ double CardinalityEstimator::BaseRows(const Query& query, int rel) {
   return static_cast<double>((*table)->num_rows);
 }
 
-void CardinalityEstimator::CheckCacheIdentityLocked(const Query& query) {
-  // Always hash: an address-based fast path would be defeated by stack
-  // reuse (a loop building same-named variants at one address — exactly
-  // the misuse this guard exists to catch). The FNV pass is cheap next to
-  // the name-keyed map lookups on the memo path.
-  uint64_t fp = query.StructuralFingerprint();
-  auto it = fingerprint_cache_.try_emplace(query.name, fp).first;
-  HFQ_CHECK_MSG(it->second == fp,
-                ("estimator memo is keyed by query name, but two "
-                 "structurally different queries share the name '" +
-                 query.name + "'")
-                    .c_str());
-}
-
 double CardinalityEstimator::Rows(const Query& query, RelSet s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return RowsLocked(query, s);
-}
-
-double CardinalityEstimator::RowsLocked(const Query& query, RelSet s) {
   HFQ_CHECK(s != 0);
-  CheckCacheIdentityLocked(query);
-  auto key = std::make_pair(query.name, s);
-  auto it = cache_.find(key);
-  if (it != cache_.end()) return it->second;
-
   // Textbook formula: product of filtered base cardinalities times the
   // selectivity of every join predicate internal to the subset. Tree-shape
   // independent by construction.
@@ -87,9 +63,7 @@ double CardinalityEstimator::RowsLocked(const Query& query, RelSet s) {
       rows *= JoinSelectivity(query, static_cast<int>(j));
     }
   }
-  rows = std::max(1.0, rows);
-  cache_[key] = rows;
-  return rows;
+  return std::max(1.0, rows);
 }
 
 double CardinalityEstimator::RowsWithSelections(
@@ -101,11 +75,7 @@ double CardinalityEstimator::RowsWithSelections(
 
 double CardinalityEstimator::GroupRows(const Query& query) {
   if (query.group_by.empty()) return 1.0;
-  double total;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    total = RowsLocked(query, RelSetAll(query.num_relations()));
-  }
+  const double total = Rows(query, RelSetAll(query.num_relations()));
   double distinct = 1.0;
   for (const auto& g : query.group_by) {
     const ColumnStats* cs = StatsFor(query, g);
@@ -114,12 +84,6 @@ double CardinalityEstimator::GroupRows(const Query& query) {
                                     1.0, static_cast<double>(cs->num_distinct));
   }
   return std::max(1.0, std::min(distinct, total));
-}
-
-void CardinalityEstimator::ClearCache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-  fingerprint_cache_.clear();
 }
 
 }  // namespace hfq

@@ -5,25 +5,16 @@
 #ifndef HFQ_STATS_ESTIMATOR_H_
 #define HFQ_STATS_ESTIMATOR_H_
 
-#include <map>
-#include <mutex>
-#include <string>
-
 #include "catalog/catalog.h"
 #include "stats/cardinality.h"
 #include "stats/table_stats.h"
 
 namespace hfq {
 
-/// Histogram-based estimates. Memoizes per (query name, relset) so repeated
-/// optimizer probes are cheap; query names must therefore uniquely identify
-/// queries within a run — enforced with a per-name structural fingerprint,
-/// exactly like TrueCardinalityOracle (a second structure reusing a name
-/// trips an HFQ_CHECK instead of silently aliasing estimates).
-///
-/// Thread-safe: the memo is internally synchronized so concurrent rollout
-/// workers can share one estimator (the backing Catalog/StatsCatalog are
-/// immutable after construction).
+/// Histogram-based estimates. Stateless: every call recomputes from the
+/// query's structure and the immutable statistics (a memo lookup cost more
+/// than the few multiplications it saved), so estimates never depend on
+/// the query's name and any number of threads may share one estimator.
 class CardinalityEstimator : public CardinalitySource {
  public:
   /// `catalog` and `stats` must outlive the estimator.
@@ -42,24 +33,11 @@ class CardinalityEstimator : public CardinalitySource {
   /// Selectivity of one join predicate.
   double JoinSelectivity(const Query& query, int join_idx) const;
 
-  /// Drops the memo (call when switching workloads to bound memory).
-  void ClearCache();
-
  private:
   const ColumnStats* StatsFor(const Query& query, const ColumnRef& ref) const;
 
-  /// Guards the name-keyed memo: checks `query`'s structural fingerprint
-  /// against the one first recorded for its name. Caller must hold mu_.
-  void CheckCacheIdentityLocked(const Query& query);
-
-  /// Rows with mu_ already held (lets GroupRows reuse it re-entrantly).
-  double RowsLocked(const Query& query, RelSet s);
-
   const Catalog* catalog_;
   const StatsCatalog* stats_;
-  std::mutex mu_;
-  std::map<std::string, uint64_t> fingerprint_cache_;
-  std::map<std::pair<std::string, RelSet>, double> cache_;
 };
 
 }  // namespace hfq

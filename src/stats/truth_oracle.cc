@@ -1,6 +1,9 @@
 #include "stats/truth_oracle.h"
 
 #include <algorithm>
+#include <mutex>
+#include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -53,38 +56,50 @@ int PositionOf(const std::vector<ColumnRef>& layout, const ColumnRef& ref) {
 
 }  // namespace
 
+/// Everything the oracle remembers about one query structure.
+struct TrueCardinalityOracle::Memo {
+  std::mutex mu;
+  std::unordered_map<RelSet, double> counts;
+  /// Selected row ids per relation, filled on first use.
+  std::vector<std::optional<std::vector<int64_t>>> selected;
+  std::optional<double> group_rows;
+};
+
 TrueCardinalityOracle::TrueCardinalityOracle(const Database* db,
                                              Options options)
-    : db_(db), options_(options) {
+    : db_(db),
+      options_(options),
+      memos_(kMemoShards, kMemoCapacityPerShard) {
   HFQ_CHECK(db != nullptr);
 }
 
-void TrueCardinalityOracle::CheckCacheIdentity(const Query& query) {
-  // Always hash: an address-based fast path would be defeated by stack
-  // reuse (a loop building same-named variants at one address — exactly
-  // the misuse this guard exists to catch). The FNV pass is cheap next to
-  // the name-keyed map lookups on the memo path.
-  uint64_t fp = query.StructuralFingerprint();
-  auto it = fingerprint_cache_.try_emplace(query.name, fp).first;
-  HFQ_CHECK_MSG(it->second == fp,
-                ("oracle caches are keyed by query name, but two "
-                 "structurally different queries share the name '" +
-                 query.name + "'")
-                    .c_str());
+std::shared_ptr<TrueCardinalityOracle::Memo> TrueCardinalityOracle::MemoFor(
+    const Query& query) {
+  // Generation 0 throughout: data never changes under an oracle. Two
+  // threads missing at once may each install a memo; the later Insert
+  // wins and the other memo just dies with its caller — same values.
+  const uint64_t key = query.StructuralFingerprint();
+  std::string identity = query.ToSql();
+  std::shared_ptr<Memo> memo;
+  if (memos_.Lookup(key, identity, 0, &memo)) return memo;
+  memo = std::make_shared<Memo>();
+  memo->selected.resize(static_cast<size_t>(query.num_relations()));
+  memos_.Insert(key, std::move(identity), 0, memo);
+  return memo;
 }
 
-const std::vector<int64_t>& TrueCardinalityOracle::SelectedRows(
-    const Query& query, int rel) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  CheckCacheIdentity(query);
-  return SelectedRowsImpl(query, rel);
+std::vector<int64_t> TrueCardinalityOracle::SelectedRows(const Query& query,
+                                                         int rel) {
+  std::shared_ptr<Memo> memo = MemoFor(query);
+  std::lock_guard<std::mutex> lock(memo->mu);
+  return SelectedRowsLocked(query, *memo, rel);
 }
 
-const std::vector<int64_t>& TrueCardinalityOracle::SelectedRowsImpl(
-    const Query& query, int rel) {
-  auto key = std::make_pair(query.name, rel);
-  auto it = selected_cache_.find(key);
-  if (it != selected_cache_.end()) return it->second;
+const std::vector<int64_t>& TrueCardinalityOracle::SelectedRowsLocked(
+    const Query& query, Memo& memo, int rel) {
+  std::optional<std::vector<int64_t>>& slot =
+      memo.selected[static_cast<size_t>(rel)];
+  if (slot.has_value()) return *slot;
 
   const auto& rel_ref = query.relations[static_cast<size_t>(rel)];
   auto table_result = db_->GetTable(rel_ref.table);
@@ -119,8 +134,8 @@ const std::vector<int64_t>& TrueCardinalityOracle::SelectedRowsImpl(
       if (pass) rows.push_back(r);
     }
   }
-  auto [inserted, unused] = selected_cache_.emplace(key, std::move(rows));
-  return inserted->second;
+  slot = std::move(rows);
+  return *slot;
 }
 
 double TrueCardinalityOracle::BaseRows(const Query& query, int rel) {
@@ -132,20 +147,27 @@ double TrueCardinalityOracle::BaseRows(const Query& query, int rel) {
 
 Result<double> TrueCardinalityOracle::CountConnectedExact(const Query& query,
                                                           RelSet component) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  CheckCacheIdentity(query);
+  std::shared_ptr<Memo> memo = MemoFor(query);
+  std::lock_guard<std::mutex> lock(memo->mu);
+  return CountConnectedLocked(query, *memo, component);
+}
+
+Result<double> TrueCardinalityOracle::CountConnectedLocked(const Query& query,
+                                                           Memo& memo,
+                                                           RelSet component) {
   std::vector<int> members = RelSetMembers(component);
   HFQ_CHECK(!members.empty());
   if (members.size() == 1) {
-    return static_cast<double>(SelectedRowsImpl(query, members[0]).size());
+    return static_cast<double>(
+        SelectedRowsLocked(query, memo, members[0]).size());
   }
 
   // Start from the smallest selected relation; grow by the smallest
   // adjacent one (keeps grouped state compact).
   int start = members[0];
   for (int rel : members) {
-    if (SelectedRowsImpl(query, rel).size() <
-        SelectedRowsImpl(query, start).size()) {
+    if (SelectedRowsLocked(query, memo, rel).size() <
+        SelectedRowsLocked(query, memo, start).size()) {
       start = rel;
     }
   }
@@ -165,7 +187,7 @@ Result<double> TrueCardinalityOracle::CountConnectedExact(const Query& query,
       HFQ_CHECK(col.ok());
       layout_cols.push_back(*col);
     }
-    for (int64_t row : SelectedRowsImpl(query, start)) {
+    for (int64_t row : SelectedRowsLocked(query, memo, start)) {
       KeyVec key;
       key.reserve(layout_cols.size());
       for (const Column* c : layout_cols) key.push_back(c->GetInt(row));
@@ -178,8 +200,8 @@ Result<double> TrueCardinalityOracle::CountConnectedExact(const Query& query,
     int next = -1;
     for (int rel : RelSetMembers(remaining)) {
       if (!query.JoinPredsBetween(joined, RelSetOf(rel)).empty()) {
-        if (next < 0 || SelectedRowsImpl(query, rel).size() <
-                            SelectedRowsImpl(query, next).size()) {
+        if (next < 0 || SelectedRowsLocked(query, memo, rel).size() <
+                            SelectedRowsLocked(query, memo, next).size()) {
           next = rel;
         }
       }
@@ -252,7 +274,7 @@ Result<double> TrueCardinalityOracle::CountConnectedExact(const Query& query,
         next_map;
     {
       std::unordered_map<KeyVec, uint64_t, KeyVecHash> grouped;
-      for (int64_t row : SelectedRowsImpl(query, next)) {
+      for (int64_t row : SelectedRowsLocked(query, memo, next)) {
         KeyVec full;
         full.reserve(probe_cols.size() + payload_cols.size());
         for (const Column* c : probe_cols) full.push_back(c->GetInt(row));
@@ -308,9 +330,10 @@ Result<double> TrueCardinalityOracle::CountConnectedExact(const Query& query,
   return total;
 }
 
-double TrueCardinalityOracle::CountComponent(const Query& query,
-                                             RelSet component) {
-  auto exact = CountConnectedExact(query, component);
+double TrueCardinalityOracle::CountComponentLocked(const Query& query,
+                                                   Memo& memo,
+                                                   RelSet component) {
+  auto exact = CountConnectedLocked(query, memo, component);
   if (exact.ok()) return *exact;
   // Fallback: cross-product upper bound over selected rows. Reached only
   // when the grouped state blows the cap; any consumer will see this as a
@@ -319,18 +342,23 @@ double TrueCardinalityOracle::CountComponent(const Query& query,
   double bound = 1.0;
   for (int rel : RelSetMembers(component)) {
     bound *= std::max<double>(
-        1.0, static_cast<double>(SelectedRowsImpl(query, rel).size()));
+        1.0,
+        static_cast<double>(SelectedRowsLocked(query, memo, rel).size()));
   }
   return bound;
 }
 
 double TrueCardinalityOracle::Rows(const Query& query, RelSet s) {
   HFQ_CHECK(s != 0);
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  CheckCacheIdentity(query);
-  auto key = std::make_pair(query.name, s);
-  auto it = count_cache_.find(key);
-  if (it != count_cache_.end()) return it->second;
+  std::shared_ptr<Memo> memo = MemoFor(query);
+  std::lock_guard<std::mutex> lock(memo->mu);
+  return RowsLocked(query, *memo, s);
+}
+
+double TrueCardinalityOracle::RowsLocked(const Query& query, Memo& memo,
+                                         RelSet s) {
+  auto it = memo.counts.find(s);
+  if (it != memo.counts.end()) return it->second;
 
   // Split into connected components; multiply (cross products are exact
   // products of component cardinalities).
@@ -344,10 +372,10 @@ double TrueCardinalityOracle::Rows(const Query& query, RelSet s) {
       if ((grow & ~comp) == 0) break;
       comp |= grow;
     }
-    total *= CountComponent(query, comp);
+    total *= CountComponentLocked(query, memo, comp);
     left &= ~comp;
   }
-  count_cache_[key] = total;
+  memo.counts.emplace(s, total);
   return total;
 }
 
@@ -383,10 +411,9 @@ double TrueCardinalityOracle::RowsWithSelections(
 
 double TrueCardinalityOracle::GroupRows(const Query& query) {
   if (query.group_by.empty()) return 1.0;
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  CheckCacheIdentity(query);
-  auto it = group_cache_.find(query.name);
-  if (it != group_cache_.end()) return it->second;
+  std::shared_ptr<Memo> memo = MemoFor(query);
+  std::lock_guard<std::mutex> lock(memo->mu);
+  if (memo->group_rows.has_value()) return *memo->group_rows;
 
   // Exact distinct-group count: run the component sweep but keep the
   // group-by columns alive to the end, then multiply per-component distinct
@@ -396,9 +423,9 @@ double TrueCardinalityOracle::GroupRows(const Query& query) {
   // whose joins force retention. For simplicity and exactness we instead
   // compute distinct groups per component by a dedicated sweep here.
   RelSet all = RelSetAll(query.num_relations());
-  double rows = Rows(query, all);
+  double rows = RowsLocked(query, *memo, all);
   if (rows == 0.0) {
-    group_cache_[query.name] = 0.0;
+    memo->group_rows = 0.0;
     return 0.0;
   }
   // Upper-bound distinct groups by the product of per-column distinct
@@ -411,13 +438,13 @@ double TrueCardinalityOracle::GroupRows(const Query& query) {
     auto col = (*table)->GetColumn(g.column);
     HFQ_CHECK(col.ok());
     std::unordered_map<int64_t, bool> seen;
-    for (int64_t row : SelectedRowsImpl(query, g.rel_idx)) {
+    for (int64_t row : SelectedRowsLocked(query, *memo, g.rel_idx)) {
       seen[(*col)->GetInt(row)] = true;
     }
     distinct *= std::max<double>(1.0, static_cast<double>(seen.size()));
   }
   double groups = std::min(distinct, rows);
-  group_cache_[query.name] = groups;
+  memo->group_rows = groups;
   return groups;
 }
 

@@ -14,31 +14,30 @@
 #ifndef HFQ_STATS_TRUTH_ORACLE_H_
 #define HFQ_STATS_TRUTH_ORACLE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <vector>
 
 #include "plan/query.h"
 #include "stats/cardinality.h"
 #include "storage/database.h"
+#include "util/sharded_cache.h"
 #include "util/status.h"
 
 namespace hfq {
 
-/// Exact cardinalities from data. Memoizes per (query name, relset): query
-/// names must uniquely identify queries within a run. This is enforced: a
-/// per-name structural fingerprint is recorded on first contact, and a
-/// later query reusing the name with a different structure trips an
-/// HFQ_CHECK instead of silently returning the other query's cached
-/// cardinalities.
+/// Exact cardinalities from data. Counting is the expensive step (a first
+/// count takes milliseconds), so the oracle memoizes per query *structure*:
+/// one memo per distinct query, keyed by Query::StructuralFingerprint()
+/// with the name-independent ToSql() text as its exact identity (the plan
+/// cache's scheme), so a fingerprint collision can never alias and the
+/// query's name plays no part. Memos live in a bounded LRU; an evicted
+/// structure is simply recounted, to the identical value.
 ///
-/// Thread-safe: all memo state is guarded by one internal lock, so
-/// concurrent rollout workers (whose latency simulations all consult this
-/// oracle) can share a single instance. Uncached counts serialize — the
-/// memo makes repeat queries cheap either way.
+/// Thread-safe: each memo has its own mutex, so concurrent rollout and
+/// serving workers count different queries in parallel and reuse each
+/// other's counts of the same query.
 class TrueCardinalityOracle : public CardinalitySource {
  public:
   struct Options {
@@ -48,6 +47,16 @@ class TrueCardinalityOracle : public CardinalitySource {
     /// for any consumer).
     uint64_t max_group_entries = 4u * 1000u * 1000u;
   };
+
+  /// Memo capacity: 16 shards x 128 query structures. Sized above the
+  /// largest hot set the repo serves (1,024 distinct SQL texts in the
+  /// serving benchmark, plus the training and calibration queries set up
+  /// beside them), so hot traffic is not recounted, while a stream of
+  /// never-seen queries holds at most this many memos.
+  static constexpr int kMemoShards = 16;
+  static constexpr int kMemoCapacityPerShard = 128;
+  static constexpr size_t kMemoCapacity =
+      static_cast<size_t>(kMemoShards) * kMemoCapacityPerShard;
 
   /// `db` must outlive the oracle.
   explicit TrueCardinalityOracle(const Database* db,
@@ -59,34 +68,37 @@ class TrueCardinalityOracle : public CardinalitySource {
   double RowsWithSelections(const Query& query, int rel,
                             const std::vector<int>& sel_idxs) override;
 
-  /// Row ids of `rel` passing all its selection predicates (cached).
-  const std::vector<int64_t>& SelectedRows(const Query& query, int rel);
+  /// Row ids of `rel` passing all its selection predicates (memoized; a
+  /// copy, since the memo it comes from may be evicted).
+  std::vector<int64_t> SelectedRows(const Query& query, int rel);
 
   /// Exact count for a connected component; exposed for testing.
   Result<double> CountConnectedExact(const Query& query, RelSet component);
 
+  /// Number of query structures currently memoized (<= kMemoCapacity).
+  size_t memo_size() const { return memos_.size(); }
+  /// Hit/miss/eviction counters of the memo.
+  ShardedCacheStats memo_stats() const { return memos_.stats(); }
+
  private:
-  double CountComponent(const Query& query, RelSet component);
+  struct Memo;
 
-  /// SelectedRows without the cache-identity check, for internal callers
-  /// inside an already-checked public entry point (the component sweep
-  /// calls it O(n^2) times per query).
-  const std::vector<int64_t>& SelectedRowsImpl(const Query& query, int rel);
+  /// The memo of `query`'s structure, created on first contact. The
+  /// returned pointer keeps it alive even if it is evicted meanwhile.
+  std::shared_ptr<Memo> MemoFor(const Query& query);
 
-  /// Guards the name-keyed caches: checks `query`'s structural fingerprint
-  /// against the one first recorded for its name. Called once per public
-  /// entry, under mu_.
-  void CheckCacheIdentity(const Query& query);
+  // The *Locked helpers run with `memo.mu` held.
+  double RowsLocked(const Query& query, Memo& memo, RelSet s);
+  const std::vector<int64_t>& SelectedRowsLocked(const Query& query,
+                                                 Memo& memo, int rel);
+  Result<double> CountConnectedLocked(const Query& query, Memo& memo,
+                                      RelSet component);
+  double CountComponentLocked(const Query& query, Memo& memo,
+                              RelSet component);
 
   const Database* db_;
   Options options_;
-  /// Recursive: public entries nest (Rows -> CountConnectedExact,
-  /// GroupRows -> Rows) while holding the lock.
-  std::recursive_mutex mu_;
-  std::map<std::string, uint64_t> fingerprint_cache_;
-  std::map<std::pair<std::string, int>, std::vector<int64_t>> selected_cache_;
-  std::map<std::pair<std::string, RelSet>, double> count_cache_;
-  std::map<std::string, double> group_cache_;
+  ShardedGenCache<std::shared_ptr<Memo>> memos_;
 };
 
 }  // namespace hfq

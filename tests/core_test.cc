@@ -431,5 +431,29 @@ TEST(HandsFreeTest, RejectsOversizedQueries) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(CoreTest, ReassignedQueryVariableIsRefeaturized) {
+  // One Query variable, one name, two structures: the full-pipeline env
+  // (and a pooled copy of it) must featurize the second structure afresh.
+  Query q = MakeQuery(4, 11, "reused_full_feat");
+  env_.SetQuery(&q);
+  env_.Reset();
+  FullPipelineEnv pooled(&featurizer_, &engine().expert(), &cost_reward_);
+  ASSERT_TRUE(pooled.TryCopySearchStateFrom(env_));
+  const std::vector<double> first = env_.StateVector();
+  EXPECT_EQ(pooled.StateVector(), first);
+
+  q = MakeQuery(4, 12, "reused_full_feat");
+  env_.SetQuery(&q);
+  env_.Reset();
+  ASSERT_TRUE(pooled.TryCopySearchStateFrom(env_));
+  FullPipelineEnv fresh(&featurizer_, &engine().expert(), &cost_reward_);
+  fresh.SetQuery(&q);
+  fresh.Reset();
+  const std::vector<double> expected = fresh.StateVector();
+  ASSERT_NE(expected, first);
+  EXPECT_EQ(env_.StateVector(), expected);
+  EXPECT_EQ(pooled.StateVector(), expected);
+}
+
 }  // namespace
 }  // namespace hfq

@@ -44,8 +44,6 @@ HandsFreeConfig TinyConfig(TrainingStrategy strategy) {
   return config;
 }
 
-// Query names embed the seed: the engine's TrueCardinalityOracle memoizes
-// per query name, so names must be unique across the whole binary.
 // Per-process path so concurrent runs of this binary (e.g. a plain and an
 // ASan build in parallel) never race on the same file in TempDir().
 std::string ModelPath(const std::string& tag) {

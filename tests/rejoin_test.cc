@@ -243,5 +243,30 @@ TEST_F(RejoinTest, SingleRelationEpisodeIsTrivial) {
   EXPECT_EQ(env_.FinalTree()->rels, RelSetOf(0));
 }
 
+TEST_F(RejoinTest, ReassignedQueryVariableIsRefeaturized) {
+  // One Query variable, one name, two structures. Neither the env bound to
+  // it nor a pooled env that copied its state may serve the first
+  // structure's cached feature blocks for the second.
+  Query q = MakeQuery(4, 11, "reused_feat");
+  env_.SetQuery(&q);
+  env_.Reset();
+  JoinOrderEnv pooled(&featurizer_, reward_fn_);
+  ASSERT_TRUE(pooled.TryCopySearchStateFrom(env_));
+  const std::vector<double> first = env_.StateVector();
+  EXPECT_EQ(pooled.StateVector(), first);
+
+  q = MakeQuery(4, 12, "reused_feat");
+  env_.SetQuery(&q);
+  env_.Reset();
+  ASSERT_TRUE(pooled.TryCopySearchStateFrom(env_));
+  JoinOrderEnv fresh(&featurizer_, reward_fn_);
+  fresh.SetQuery(&q);
+  fresh.Reset();
+  const std::vector<double> expected = fresh.StateVector();
+  ASSERT_NE(expected, first);
+  EXPECT_EQ(env_.StateVector(), expected);
+  EXPECT_EQ(pooled.StateVector(), expected);
+}
+
 }  // namespace
 }  // namespace hfq

@@ -43,9 +43,7 @@ HandsFreeConfig TinyServeConfig() {
   return config;
 }
 
-// Query names embed the seed (the engine's oracle memoizes per name, so
-// names must be unique across the binary); the 2xxx seed band is
-// reserved for this suite.
+// Query names embed the seed so failures name their query.
 std::vector<Query> ServeWorkload(int count, int num_relations,
                                  uint64_t seed) {
   WorkloadGenerator gen(&testing::SharedEngine().catalog(), seed);
@@ -170,6 +168,35 @@ TEST(PlanServerTest, SameStructureDifferentNameSharesOneCacheEntry) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm->cache_hit);
   EXPECT_EQ(warm->plan->Fingerprint(), cold->plan->Fingerprint());
+}
+
+TEST(PlanServerTest, StructurallyDifferentQueriesSharingANameBothPlan) {
+  // Client-chosen names are not identities: two different structures that
+  // a client both calls "client_query" must each plan exactly as a
+  // uniquely named copy does on a fresh server, with or without the cache.
+  const Query first = NamedQuery(2014, 3, "client_query");
+  const Query second = NamedQuery(2015, 4, "client_query");
+  ASSERT_NE(first.StructuralFingerprint(), second.StructuralFingerprint());
+  for (bool enable_cache : {true, false}) {
+    PlanServerConfig config;
+    config.enable_cache = enable_cache;
+    PlanServer server(&TrainedOptimizer(), config);
+    ASSERT_TRUE(server.PublishPolicy().ok());
+    for (const Query* query : {&first, &second, &first}) {
+      auto response = server.Plan(*query);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+
+      Query unique = *query;
+      unique.name = "unique_" + std::to_string(query->num_relations());
+      PlanServer fresh(&TrainedOptimizer(), config);
+      ASSERT_TRUE(fresh.PublishPolicy().ok());
+      auto reference = fresh.Plan(unique);
+      ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+      EXPECT_EQ(response->plan->Fingerprint(), reference->plan->Fingerprint())
+          << "cache " << enable_cache;
+      EXPECT_EQ(response->cost, reference->cost) << "cache " << enable_cache;
+    }
+  }
 }
 
 TEST(PlanServerTest, PolicySwapInvalidatesCachedPlans) {

@@ -3,7 +3,9 @@
 // against brute force).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "stats/estimator.h"
 #include "stats/histogram.h"
@@ -231,90 +233,112 @@ TEST(TruthOracleTest, GroupRowsBounded) {
   EXPECT_LE(groups, 5.0);  // attr has 5 distinct values.
 }
 
-TEST(TruthOracleTest, SameQueryNameSameStructureIsCached) {
+// Nothing in the cardinality layer keys on Query::name: two different
+// structures sharing a name each get their own exact values, and one
+// structure under two names shares one oracle memo.
+
+// The micro join query, optionally filtered on parent.attr = 2, under
+// `name`; group-by on parent.attr so GroupRows has something to count.
+Query NamedVariant(const testing::MicroDb& micro, const std::string& name,
+                   bool filtered) {
+  Query q = micro.JoinQuery(name);
+  if (filtered) {
+    q.selections.push_back(SelectionPredicate{ColumnRef{0, "attr"},
+                                              CmpOp::kEq, Value::Int(2)});
+  }
+  q.group_by.push_back(ColumnRef{0, "attr"});
+  AggSpec agg;
+  agg.func = AggFunc::kCount;
+  q.aggregates.push_back(agg);
+  return q;
+}
+
+TEST(TruthOracleTest, SameNameDifferentStructureCountsEachExactly) {
+  testing::MicroDb micro;
+  TrueCardinalityOracle shared(micro.db.get());
+  for (bool filtered : {false, true, false, true}) {
+    // One stack slot, one name, alternating structures.
+    Query q = NamedVariant(micro, "client_query", filtered);
+    TrueCardinalityOracle fresh(micro.db.get());
+    Query unique = NamedVariant(micro, filtered ? "unique_f" : "unique_u",
+                                filtered);
+    EXPECT_EQ(shared.Rows(q, RelSetAll(2)), fresh.Rows(unique, RelSetAll(2)));
+    EXPECT_EQ(shared.Rows(q, RelSetOf(0)), fresh.Rows(unique, RelSetOf(0)));
+    EXPECT_EQ(shared.GroupRows(q), fresh.GroupRows(unique));
+    EXPECT_EQ(shared.SelectedRows(q, 0), fresh.SelectedRows(unique, 0));
+  }
+  // Analytically: every parent has 4 children; attr = 2 keeps parents 2, 7.
+  EXPECT_EQ(shared.Rows(NamedVariant(micro, "client_query", false),
+                        RelSetAll(2)),
+            40.0);
+  EXPECT_EQ(shared.Rows(NamedVariant(micro, "client_query", true),
+                        RelSetAll(2)),
+            8.0);
+  EXPECT_EQ(shared.memo_size(), 2u);
+}
+
+TEST(EstimatorTest, SameNameDifferentStructureEstimatesEachExactly) {
+  testing::MicroDb micro;
+  auto stats = StatsCatalog::Analyze(*micro.db);
+  ASSERT_TRUE(stats.ok());
+  CardinalityEstimator shared(&micro.catalog, &*stats);
+  double unfiltered = 0.0;
+  double filtered_rows = 0.0;
+  for (bool filtered : {false, true, false, true}) {
+    // One stack slot, one name, alternating structures.
+    Query q = NamedVariant(micro, "client_query", filtered);
+    CardinalityEstimator fresh(&micro.catalog, &*stats);
+    Query unique = NamedVariant(micro, filtered ? "unique_f" : "unique_u",
+                                filtered);
+    EXPECT_EQ(shared.Rows(q, RelSetAll(2)), fresh.Rows(unique, RelSetAll(2)));
+    EXPECT_EQ(shared.GroupRows(q), fresh.GroupRows(unique));
+    (filtered ? filtered_rows : unfiltered) = shared.Rows(q, RelSetAll(2));
+  }
+  EXPECT_LT(filtered_rows, unfiltered);
+}
+
+TEST(TruthOracleTest, SameStructureUnderTwoNamesSharesOneMemo) {
   testing::MicroDb micro;
   TrueCardinalityOracle oracle(micro.db.get());
-  Query q1 = micro.JoinQuery("oracle_identity");
-  double first = oracle.Rows(q1, RelSetAll(2));
-  // A structurally identical copy under the same name hits the cache.
-  Query q2 = micro.JoinQuery("oracle_identity");
-  EXPECT_EQ(q1.StructuralFingerprint(), q2.StructuralFingerprint());
-  EXPECT_EQ(oracle.Rows(q2, RelSetAll(2)), first);
+  Query a = micro.JoinQuery("first_name");
+  Query b = micro.JoinQuery("second_name");
+  const double rows = oracle.Rows(a, RelSetAll(2));
+  EXPECT_EQ(oracle.memo_size(), 1u);
+  EXPECT_EQ(oracle.memo_stats().hits, 0u);
+  EXPECT_EQ(oracle.Rows(b, RelSetAll(2)), rows);
+  EXPECT_EQ(oracle.memo_size(), 1u);
+  EXPECT_EQ(oracle.memo_stats().hits, 1u);
+  EXPECT_EQ(oracle.memo_stats().insertions, 1u);
 }
 
-TEST(TruthOracleDeathTest, DetectsQueryNameAliasing) {
-  // The oracle memoizes per query name; a *different* query reusing a name
-  // would silently read the first query's cached cardinalities. That now
-  // trips the structural-fingerprint check instead.
+TEST(TruthOracleTest, MemoStaysBoundedAndEvictedStructuresRecountExactly) {
   testing::MicroDb micro;
   TrueCardinalityOracle oracle(micro.db.get());
-  Query q1 = micro.JoinQuery("oracle_alias");
-  EXPECT_GT(oracle.Rows(q1, RelSetAll(2)), 0.0);
-  Query q2 = micro.JoinQuery("oracle_alias");
-  q2.selections.push_back(SelectionPredicate{ColumnRef{0, "attr"}, CmpOp::kEq,
-                                             Value::Int(2)});
-  EXPECT_NE(q1.StructuralFingerprint(), q2.StructuralFingerprint());
-  EXPECT_DEATH(oracle.Rows(q2, RelSetAll(2)),
-               "structurally different queries share the name");
-}
-
-TEST(EstimatorTest, SameQueryNameSameStructureIsCached) {
-  testing::MicroDb micro;
-  auto stats = StatsCatalog::Analyze(*micro.db);
-  ASSERT_TRUE(stats.ok());
-  CardinalityEstimator est(&micro.catalog, &*stats);
-  Query q1 = micro.JoinQuery("est_identity");
-  double first = est.Rows(q1, RelSetAll(2));
-  // A structurally identical copy under the same name hits the memo.
-  Query q2 = micro.JoinQuery("est_identity");
-  EXPECT_EQ(est.Rows(q2, RelSetAll(2)), first);
-  // ClearCache also forgets the fingerprints, so a name may be reused
-  // (with any structure) afterwards — the documented workload-switch path.
-  est.ClearCache();
-  Query q3 = micro.JoinQuery("est_identity");
-  q3.selections.push_back(SelectionPredicate{ColumnRef{1, "v"}, CmpOp::kEq,
-                                             Value::Int(1)});
-  EXPECT_GT(est.Rows(q3, RelSetAll(2)), 0.0);
-}
-
-TEST(EstimatorDeathTest, DetectsQueryNameAliasing) {
-  // The estimator memoizes Rows per (query name, relset) — the same bug
-  // class TrueCardinalityOracle guards against: a *different* query
-  // reusing a name would silently read the first query's cached estimates.
-  // The structural-fingerprint check must trip instead.
-  testing::MicroDb micro;
-  auto stats = StatsCatalog::Analyze(*micro.db);
-  ASSERT_TRUE(stats.ok());
-  CardinalityEstimator est(&micro.catalog, &*stats);
-  Query q1 = micro.JoinQuery("est_alias");
-  EXPECT_GT(est.Rows(q1, RelSetAll(2)), 0.0);
-  Query q2 = micro.JoinQuery("est_alias");
-  q2.selections.push_back(SelectionPredicate{ColumnRef{0, "attr"}, CmpOp::kEq,
-                                             Value::Int(2)});
-  EXPECT_NE(q1.StructuralFingerprint(), q2.StructuralFingerprint());
-  EXPECT_DEATH(est.Rows(q2, RelSetAll(2)),
-               "structurally different queries share the name");
-}
-
-TEST(EstimatorDeathTest, DetectsAliasingAcrossStackAddressReuse) {
-  // The guard must not rely on object identity: successive loop iterations
-  // build same-named variants in the same stack slot, so an address-based
-  // fast path would wave the second (different) structure through.
-  testing::MicroDb micro;
-  auto stats = StatsCatalog::Analyze(*micro.db);
-  ASSERT_TRUE(stats.ok());
-  CardinalityEstimator est(&micro.catalog, &*stats);
-  auto probe = [&](bool with_selection) {
-    Query q = micro.JoinQuery("est_alias_reuse");
-    if (with_selection) {
-      q.selections.push_back(SelectionPredicate{ColumnRef{1, "v"}, CmpOp::kEq,
-                                                Value::Int(1)});
-    }
-    return est.Rows(q, RelSetAll(2));
+  // One structure per threshold: parent.id >= k keeps 10 - k parents (none
+  // past 9), each with 4 children.
+  const int structures =
+      static_cast<int>(TrueCardinalityOracle::kMemoCapacity) + 512;
+  auto variant = [&micro](int k) {
+    Query q = micro.JoinQuery("bounded");
+    q.selections.push_back(SelectionPredicate{ColumnRef{0, "id"}, CmpOp::kGe,
+                                              Value::Int(k)});
+    return q;
   };
-  EXPECT_GT(probe(false), 0.0);
-  EXPECT_DEATH(probe(true),
-               "structurally different queries share the name");
+  auto expected = [](int k) { return 4.0 * std::max(0, 10 - k); };
+  for (int k = 0; k < structures; ++k) {
+    ASSERT_EQ(oracle.Rows(variant(k), RelSetAll(2)), expected(k)) << k;
+  }
+  EXPECT_LE(oracle.memo_size(), TrueCardinalityOracle::kMemoCapacity);
+  EXPECT_GT(oracle.memo_stats().evictions, 0u);
+
+  // Second pass: evicted structures miss and are recounted, to the same
+  // values.
+  const uint64_t misses_before = oracle.memo_stats().misses;
+  for (int k = 0; k < structures; ++k) {
+    ASSERT_EQ(oracle.Rows(variant(k), RelSetAll(2)), expected(k)) << k;
+  }
+  EXPECT_GT(oracle.memo_stats().misses, misses_before);
+  EXPECT_LE(oracle.memo_size(), TrueCardinalityOracle::kMemoCapacity);
 }
 
 TEST(TruthOracleTest, EstimatorErrsOnCorrelatedDataOracleDoesNot) {

@@ -194,8 +194,7 @@ HandsFreeConfig TinyConfig(TrainingStrategy strategy) {
   return config;
 }
 
-// Query names embed the seed: the engine's TrueCardinalityOracle memoizes
-// per query name, so names must be unique across the whole binary.
+// Query names embed the seed so failures name their query.
 std::vector<Query> TinyWorkload(int count, int num_relations, uint64_t seed) {
   WorkloadGenerator gen(&testing::SharedEngine().catalog(), seed);
   std::vector<Query> workload;
