@@ -169,6 +169,65 @@ TEST_F(CoreTest, PipelineStagesPrefixHelper) {
   EXPECT_FALSE(PipelineStages::Prefix(2).join_operators);
 }
 
+// Plan search ranks finished episodes by FinalCost and never scores them,
+// so the plan FinishEpisode builds must already carry the cost model's
+// annotation: re-annotating a clone with CostModel::Annotate changes no
+// bit, whichever stages the agent decides and whichever actions it takes.
+TEST_F(CoreTest, FinishedPlanIsAnnotatedWithoutScoring) {
+  // A reward that never touches the plan, so nothing but the env itself
+  // can have annotated it.
+  class PlanBlindReward : public RewardSignal {
+   public:
+    double Score(const Query&, PlanNode*) override { return 0.0; }
+    double LastMetric() const override { return 0.0; }
+    std::string name() const override { return "plan_blind"; }
+  };
+  PlanBlindReward reward;
+  FullPipelineEnv env(&featurizer_, &engine().expert(), &reward);
+  const PipelineStages stage_sets[] = {
+      PipelineStages::All(), PipelineStages::JoinOrderOnly(),
+      PipelineStages::Prefix(2), PipelineStages::Prefix(3),
+      PipelineStages{false, true, true, true}};
+  WorkloadGenerator gen(&engine().catalog(), 107);
+  int plans = 0;
+  for (int qi = 0; qi < 40; ++qi) {
+    auto q = gen.GenerateQuery(1 + qi % kN, "annotated_" + std::to_string(qi));
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    for (const PipelineStages& stages : stage_sets) {
+      env.set_stages(stages);
+      for (uint64_t seed = 0; seed < 3; ++seed) {
+        env.SetQuery(&*q);
+        env.Reset();
+        Rng rng(seed * 7919 + static_cast<uint64_t>(qi));
+        while (!env.Done()) {
+          std::vector<bool> mask = env.ActionMask();
+          std::vector<int> valid;
+          for (int a = 0; a < env.action_dim(); ++a) {
+            if (mask[static_cast<size_t>(a)]) valid.push_back(a);
+          }
+          env.Step(rng.Choice(valid));
+        }
+        const PlanNode* plan = env.FinalPlan();
+        PlanNodePtr fresh = plan->Clone();
+        engine().cost_model().Annotate(*q, fresh.get());
+        EXPECT_EQ(env.FinalCost(), fresh->est_cost) << q->name;
+        std::vector<const PlanNode*> built, annotated;
+        plan->CollectNodes(&built);
+        fresh->CollectNodes(&annotated);
+        ASSERT_EQ(built.size(), annotated.size());
+        for (size_t i = 0; i < built.size(); ++i) {
+          EXPECT_EQ(built[i]->est_rows, annotated[i]->est_rows)
+              << q->name << " " << PhysicalOpName(built[i]->op);
+          EXPECT_EQ(built[i]->est_cost, annotated[i]->est_cost)
+              << q->name << " " << PhysicalOpName(built[i]->op);
+        }
+        ++plans;
+      }
+    }
+  }
+  EXPECT_EQ(plans, 40 * 5 * 3);
+}
+
 TEST_F(CoreTest, ExpertEpisodeReplaysExpertDecisions) {
   Query q = MakeQuery(5, 105, "expert_ep");
   auto expert_plan = engine().expert().Optimize(q);

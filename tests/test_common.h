@@ -3,9 +3,12 @@
 #ifndef HFQ_TESTS_TEST_COMMON_H_
 #define HFQ_TESTS_TEST_COMMON_H_
 
+#include <atomic>
 #include <memory>
+#include <string>
 
 #include "core/engine.h"
+#include "core/reward.h"
 #include "util/check.h"
 
 namespace hfq {
@@ -23,6 +26,29 @@ inline Engine& SharedEngine() {
   }();
   return *engine;
 }
+
+/// Wraps a RewardSignal and counts Score calls, so tests can pin which
+/// paths score finished plans (training) and which never do (planning).
+class CountingReward : public RewardSignal {
+ public:
+  /// `inner` must outlive the wrapper.
+  explicit CountingReward(RewardSignal* inner) : inner_(inner) {
+    HFQ_CHECK(inner != nullptr);
+  }
+  double Score(const Query& query, PlanNode* plan) override {
+    calls_.fetch_add(1);
+    return inner_->Score(query, plan);
+  }
+  double LastMetric() const override { return inner_->LastMetric(); }
+  std::string name() const override { return inner_->name(); }
+
+  int calls() const { return calls_.load(); }
+  void ResetCalls() { calls_.store(0); }
+
+ private:
+  RewardSignal* inner_;
+  std::atomic<int> calls_{0};
+};
 
 /// A micro catalog: two tables with a single FK edge and known contents.
 ///   parent(id, attr)  : 10 rows, attr = id % 5
