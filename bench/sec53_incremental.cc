@@ -84,8 +84,8 @@ int main() {
           t.state = env.StateVector();
           t.mask = env.ActionMask();
           t.action = agent.SampleAction(t.state, t.mask, &t.old_prob);
-          StepResult r = env.Step(t.action);
-          t.reward = r.reward;
+          const bool done = env.Step(t.action).done;
+          t.reward = done ? env.TerminalReward() : 0.0;
           episode.steps.push_back(std::move(t));
         }
         if (!episode.steps.empty()) {

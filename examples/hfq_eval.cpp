@@ -49,9 +49,11 @@
 // sustained plans/sec, p50/p99 service latency, and the cache hit rate.
 // It then serves a stream of never-seen query structures that all share
 // one name, as a careless client would send them. The exit status is
-// non-zero on any request error, or if the cardinality oracle's
-// per-structure memo holds more than its capacity (CI's serve-smoke step
-// and `scripts/check.sh --serve-smoke` run it briefly).
+// non-zero on any request error, if the cardinality oracle's
+// per-structure memo holds more than its capacity, or if serving the
+// never-seen structures touched that memo at all: planning must never
+// count true cardinalities (CI's serve-smoke step and
+// `scripts/check.sh --serve-smoke` run it briefly).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -235,7 +237,10 @@ int RunServeStress(const ServeStressConfig& config) {
 
   // Never-seen structures under one client-chosen name: every request must
   // plan, and the oracle must hold no more memos than its capacity however
-  // many structures arrive.
+  // many structures arrive. Planning never counts true cardinalities, so
+  // with the swapper joined the oracle memo must not even be consulted.
+  const hfq::TrueCardinalityOracle& oracle = (*engine)->oracle();
+  const hfq::ShardedCacheStats memo_before = oracle.memo_stats();
   const size_t memo_capacity = hfq::TrueCardinalityOracle::kMemoCapacity;
   const int fresh_count = static_cast<int>(memo_capacity) + 256;
   std::atomic<int> fresh_next{0};
@@ -254,12 +259,16 @@ int RunServeStress(const ServeStressConfig& config) {
     threads.emplace_back(fresh_loop, t);
   }
   for (auto& t : threads) t.join();
-  const hfq::TrueCardinalityOracle& oracle = (*engine)->oracle();
   const size_t memo_size = oracle.memo_size();
+  const hfq::ShardedCacheStats memo_after = oracle.memo_stats();
   std::printf("fresh         %d never-seen structures named client_query; "
-              "oracle memo %zu/%zu (%llu evicted)\n",
+              "oracle memo %zu/%zu (%llu evicted), %llu lookups while "
+              "serving them\n",
               fresh_count, memo_size, memo_capacity,
-              static_cast<unsigned long long>(oracle.memo_stats().evictions));
+              static_cast<unsigned long long>(memo_after.evictions),
+              static_cast<unsigned long long>(
+                  (memo_after.hits - memo_before.hits) +
+                  (memo_after.misses - memo_before.misses)));
   if (errors.load() > 0) {
     std::fprintf(stderr, "FAILED: %llu serving errors\n",
                  static_cast<unsigned long long>(errors.load()));
@@ -272,6 +281,20 @@ int RunServeStress(const ServeStressConfig& config) {
   if (memo_size > memo_capacity) {
     std::fprintf(stderr, "FAILED: oracle memo holds %zu > %zu structures\n",
                  memo_size, memo_capacity);
+    return 1;
+  }
+  if (memo_after.insertions != memo_before.insertions ||
+      memo_after.hits != memo_before.hits ||
+      memo_after.misses != memo_before.misses) {
+    std::fprintf(stderr,
+                 "FAILED: cold serving counted true cardinalities (oracle "
+                 "memo insertions +%llu, hits +%llu, misses +%llu)\n",
+                 static_cast<unsigned long long>(memo_after.insertions -
+                                                 memo_before.insertions),
+                 static_cast<unsigned long long>(memo_after.hits -
+                                                 memo_before.hits),
+                 static_cast<unsigned long long>(memo_after.misses -
+                                                 memo_before.misses));
     return 1;
   }
   std::printf("OK\n");

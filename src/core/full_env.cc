@@ -124,6 +124,7 @@ void FullPipelineEnv::Reset() {
   access_cursor_ = 0;
   join_op_cursor_ = 0;
   final_plan_.reset();
+  scored_ = false;
 
   if (n == 1 || !config_.stages.join_order) {
     if (n == 1) {
@@ -434,15 +435,21 @@ StepResult FullPipelineEnv::Step(int action) {
   }
 
   SkipTrivialDecisions();
-  if (Done()) {
-    result.done = true;
-    result.reward = last_reward_;
-  }
+  result.done = Done();
   return result;
 }
 
 bool FullPipelineEnv::Done() const {
   return stage_ == Stage::kDone && final_plan_ != nullptr;
+}
+
+double FullPipelineEnv::TerminalReward() {
+  HFQ_CHECK(Done());
+  if (!scored_) {
+    terminal_reward_ = reward_->Score(*query_, final_plan_.get());
+    scored_ = true;
+  }
+  return terminal_reward_;
 }
 
 std::unique_ptr<SearchEnv> FullPipelineEnv::CloneSearch() const {
@@ -467,7 +474,8 @@ std::unique_ptr<SearchEnv> FullPipelineEnv::CloneSearch() const {
   clone->access_cursor_ = access_cursor_;
   clone->join_op_cursor_ = join_op_cursor_;
   if (final_plan_ != nullptr) clone->final_plan_ = final_plan_->Clone();
-  clone->last_reward_ = last_reward_;
+  clone->scored_ = scored_;
+  clone->terminal_reward_ = terminal_reward_;
   return clone;
 }
 
@@ -482,7 +490,7 @@ bool FullPipelineEnv::TryCopySearchStateFrom(const SearchEnv& other) {
   reward_ = src->reward_;
   config_ = src->config_;
   query_ = src->query_;
-  feat_cache_.Bind(src->feat_cache_.binding);
+  feat_cache_.BindLike(src->feat_cache_);
   stage_ = src->stage_;
   subtrees_.clear();
   subtrees_.reserve(src->subtrees_.size());
@@ -505,11 +513,12 @@ bool FullPipelineEnv::TryCopySearchStateFrom(const SearchEnv& other) {
   join_op_cursor_ = src->join_op_cursor_;
   final_plan_ =
       src->final_plan_ != nullptr ? src->final_plan_->Clone() : nullptr;
-  last_reward_ = src->last_reward_;
+  scored_ = src->scored_;
+  terminal_reward_ = src->terminal_reward_;
   return true;
 }
 
-double FullPipelineEnv::FinalCost() const {
+double FullPipelineEnv::FinalCost() {
   return FinalPlan()->est_cost;
 }
 
@@ -632,10 +641,9 @@ PlanNodePtr FullPipelineEnv::BuildPlan() {
   return plan;
 }
 
-double FullPipelineEnv::FinishEpisode() {
+void FullPipelineEnv::FinishEpisode() {
   final_plan_ = BuildPlan();
-  last_reward_ = reward_->Score(*query_, final_plan_.get());
-  return last_reward_;
+  scored_ = false;
 }
 
 Result<Episode> FullPipelineEnv::ExpertEpisode(const Query& query,

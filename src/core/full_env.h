@@ -83,22 +83,27 @@ class FullPipelineEnv : public SearchEnv {
   StepResult Step(int action) override;
   bool Done() const override;
 
+  /// The reward signal's score of the finished plan, computed on the first
+  /// call of the episode (valid once Done()).
+  double TerminalReward() override;
+
   /// Forks the in-flight episode — query, stage cursor, partial join
-  /// forest / decided operators all deep-copied; featurizer, expert and
-  /// reward are shared (thread-safe substrate). Enables prefix expansion
-  /// by the plan-search layer.
+  /// forest / decided operators, the cached terminal reward all copied;
+  /// featurizer, expert and reward are shared (thread-safe substrate).
+  /// Enables prefix expansion by the plan-search layer.
   std::unique_ptr<SearchEnv> CloneSearch() const override;
 
   /// The finished plan's cost-model cost (valid once Done()) — the
-  /// minimization objective plan-time search compares rollouts by.
-  double FinalCost() const override;
+  /// minimization objective plan-time search compares rollouts by. Never
+  /// scores the episode.
+  double FinalCost() override;
 
   /// Pool reuse: becomes a copy of `other` (wiring included) while keeping
   /// this object's vector capacities; false iff `other` is not a
   /// FullPipelineEnv. Semantics match CloneSearch exactly.
   bool TryCopySearchStateFrom(const SearchEnv& other) override;
 
-  /// The completed, annotated physical plan (valid once Done()).
+  /// The completed, cost-annotated physical plan (valid once Done()).
   const PlanNode* FinalPlan() const;
 
   /// Replays an expert plan through this env, recording the (state, mask,
@@ -119,14 +124,16 @@ class FullPipelineEnv : public SearchEnv {
   void SkipTrivialDecisions();
   std::vector<int> ValidAccessActions(int rel) const;
   std::vector<int> ValidJoinOpActions(const JoinTreeNode& node) const;
-  /// Builds + annotates the final plan from recorded decisions.
+  /// Builds the final plan from recorded decisions; every node carries
+  /// exactly the est_rows/est_cost CostModel::Annotate would give it.
   PlanNodePtr BuildPlan();
   PlanNodePtr BuildScan(int rel) const;
   PlanNodePtr BuildJoinNode(const JoinTreeNode& node, PlanNodePtr left,
                             PlanNodePtr right, int decision_idx);
   /// Most selective selection predicate on `rel` servable by `kind`.
   int PickIndexPredicate(int rel, IndexKind kind) const;
-  double FinishEpisode();
+  /// Builds the finished plan; scoring is left to TerminalReward.
+  void FinishEpisode();
 
   RejoinFeaturizer* featurizer_;
   TraditionalOptimizer* expert_;
@@ -148,10 +155,12 @@ class FullPipelineEnv : public SearchEnv {
   int access_cursor_ = 0;
   int join_op_cursor_ = 0;
   PlanNodePtr final_plan_;
-  double last_reward_ = 0.0;
+  /// TerminalReward's cached score; valid iff scored_.
+  bool scored_ = false;
+  double terminal_reward_ = 0.0;
   /// Query-static featurization scratch (mutable: StateVector is const but
-  /// warms the cache). Bound in SetQuery; only the binding token is
-  /// copied on clone/pool-copy — see JoinOrderEnv.
+  /// warms the cache). Bound in SetQuery; copied on clone/pool-copy with
+  /// the same rules as JoinOrderEnv's.
   mutable FeaturizeCache feat_cache_;
 };
 

@@ -20,6 +20,10 @@
 namespace hfq {
 
 /// Scores completed physical plans; higher reward = better plan.
+/// Scoring is training work: an env calls Score only when a learner pulls
+/// its terminal reward (Environment::TerminalReward), at most once per
+/// episode, and never while it only plans — search ranks plans by the
+/// cost annotation the env already gave them.
 /// Implementations here are thread-safe: Score only touches per-call state
 /// plus an atomic "last metric", so one signal instance may be shared by
 /// concurrent rollout workers (LastMetric then reports *a* recent score,
@@ -28,7 +32,9 @@ class RewardSignal {
  public:
   virtual ~RewardSignal() = default;
 
-  /// Reward for the (annotated or annotatable) plan. May annotate the plan.
+  /// Reward for the (annotated or annotatable) plan. May annotate the
+  /// plan; for a plan the cost model already annotated that changes no
+  /// bit.
   virtual double Score(const Query& query, PlanNode* plan) = 0;
 
   /// The raw metric (cost units or milliseconds) behind the last Score —

@@ -39,6 +39,14 @@ void FeaturizeCache::Bind(uint64_t new_binding) {
   subtree_rows.clear();
 }
 
+void FeaturizeCache::BindLike(const FeaturizeCache& other) {
+  if (binding == other.binding) return;
+  binding = other.binding;
+  query = other.query;
+  static_blocks = other.static_blocks;
+  subtree_rows = other.subtree_rows;
+}
+
 RejoinFeaturizer::RejoinFeaturizer(int max_relations,
                                    CardinalityEstimator* estimator)
     : max_relations_(max_relations), estimator_(estimator) {

@@ -35,8 +35,9 @@ namespace hfq {
 ///
 /// The contents belong to one query binding, named by the `binding`
 /// token: an env takes a fresh token in SetQuery and passes it on to every
-/// env that copies its state, and the cache empties whenever its token
-/// changes. The Query's address alone cannot tell queries apart: pooled
+/// env that copies its state. A cache whose token changes either empties
+/// (Bind) or takes the contents the copied env holds for the new token
+/// (BindLike); it never keeps contents across a change. The Query's address alone cannot tell queries apart: pooled
 /// envs outlive the query they last served, and a later query (or the same
 /// variable, reassigned) can occupy that address.
 /// Not thread-safe: one cache per env, like MlpWorkspace.
@@ -54,6 +55,11 @@ struct FeaturizeCache {
 
   /// Ties the cache to `new_binding`, emptying it if that is a change.
   void Bind(uint64_t new_binding);
+
+  /// Ties the cache to `other`'s binding. If that is a change, takes
+  /// `other`'s contents too (they belong to that binding, so they are
+  /// valid here by construction); otherwise keeps this cache's own.
+  void BindLike(const FeaturizeCache& other);
 };
 
 /// Fixed-size featurization of (query, subtree list) states.

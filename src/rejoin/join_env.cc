@@ -28,7 +28,9 @@ void JoinOrderEnv::Reset() {
     subtrees_.push_back(JoinTreeNode::Leaf(rel));
   }
   done_ = subtrees_.size() <= 1;
-  last_reward_ = 0.0;
+  // A trivial episode has nothing to score.
+  scored_ = done_;
+  terminal_reward_ = 0.0;
 }
 
 std::unique_ptr<SearchEnv> JoinOrderEnv::CloneSearch() const {
@@ -37,7 +39,8 @@ std::unique_ptr<SearchEnv> JoinOrderEnv::CloneSearch() const {
   clone->query_ = query_;
   clone->feat_cache_.Bind(feat_cache_.binding);
   clone->done_ = done_;
-  clone->last_reward_ = last_reward_;
+  clone->scored_ = scored_;
+  clone->terminal_reward_ = terminal_reward_;
   clone->subtrees_.reserve(subtrees_.size());
   for (const auto& tree : subtrees_) {
     clone->subtrees_.push_back(tree->Clone());
@@ -45,10 +48,16 @@ std::unique_ptr<SearchEnv> JoinOrderEnv::CloneSearch() const {
   return clone;
 }
 
-double JoinOrderEnv::FinalCost() const {
+double JoinOrderEnv::TerminalReward() {
   HFQ_CHECK(done_);
-  return -last_reward_;
+  if (!scored_) {
+    terminal_reward_ = reward_fn_(*query_, *FinalTree());
+    scored_ = true;
+  }
+  return terminal_reward_;
 }
+
+double JoinOrderEnv::FinalCost() { return -TerminalReward(); }
 
 bool JoinOrderEnv::TryCopySearchStateFrom(const SearchEnv& other) {
   const auto* src = dynamic_cast<const JoinOrderEnv*>(&other);
@@ -60,9 +69,10 @@ bool JoinOrderEnv::TryCopySearchStateFrom(const SearchEnv& other) {
   reward_fn_ = src->reward_fn_;
   config_ = src->config_;
   query_ = src->query_;
-  feat_cache_.Bind(src->feat_cache_.binding);
+  feat_cache_.BindLike(src->feat_cache_);
   done_ = src->done_;
-  last_reward_ = src->last_reward_;
+  scored_ = src->scored_;
+  terminal_reward_ = src->terminal_reward_;
   subtrees_.clear();
   subtrees_.reserve(src->subtrees_.size());
   for (const auto& tree : src->subtrees_) {
@@ -151,14 +161,8 @@ StepResult JoinOrderEnv::Step(int action) {
       JoinTreeNode::Join(std::move(left), std::move(right));
   subtrees_.erase(subtrees_.begin() + hi);
 
-  StepResult result;
-  if (subtrees_.size() == 1) {
-    done_ = true;
-    result.done = true;
-    result.reward = reward_fn_(*query_, *subtrees_[0]);
-    last_reward_ = result.reward;
-  }
-  return result;
+  done_ = subtrees_.size() == 1;
+  return StepResult{done_};
 }
 
 bool JoinOrderEnv::Done() const { return done_; }

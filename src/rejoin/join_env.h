@@ -1,6 +1,7 @@
 // The ReJOIN MDP (paper Section 3): an episode per query; states are sets
 // of join subtrees; action (x, y) joins subtrees x and y; the terminal
-// reward scores the completed join ordering (1/cost in the case study).
+// reward scores the completed join ordering (1/cost in the case study)
+// when the learner pulls it.
 #ifndef HFQ_REJOIN_JOIN_ENV_H_
 #define HFQ_REJOIN_JOIN_ENV_H_
 
@@ -13,7 +14,8 @@
 
 namespace hfq {
 
-/// Scores a finished join tree; the environment's terminal reward.
+/// Scores a finished join tree; the environment's terminal reward,
+/// evaluated on the first TerminalReward() call of an episode.
 using JoinRewardFn =
     std::function<double(const Query& query, const JoinTreeNode& tree)>;
 
@@ -48,15 +50,19 @@ class JoinOrderEnv : public SearchEnv {
   StepResult Step(int action) override;
   bool Done() const override;
 
-  /// Forks the in-flight episode (same query, deep-cloned subtrees);
-  /// featurizer and reward fn are shared. Enables prefix expansion by the
-  /// plan-search layer.
+  /// reward_fn of the finished join tree, evaluated on the first call of
+  /// the episode. A trivial episode that was never stepped (single
+  /// relation) scores 0.
+  double TerminalReward() override;
+
+  /// Forks the in-flight episode (same query, deep-cloned subtrees, the
+  /// cached terminal reward); featurizer and reward fn are shared. Enables
+  /// prefix expansion by the plan-search layer.
   std::unique_ptr<SearchEnv> CloneSearch() const override;
 
-  /// Negated terminal reward (reward_fn is higher-is-better; search
-  /// minimizes), valid once Done() via Step. A trivial episode that was
-  /// never stepped (single relation) scores 0.
-  double FinalCost() const override;
+  /// -TerminalReward() (reward_fn is higher-is-better; search minimizes):
+  /// this env's reward is its cost, so search does score its episodes.
+  double FinalCost() override;
 
   /// Pool reuse: becomes a copy of `other` (wiring included) while keeping
   /// this object's vector capacity; false iff `other` is not a
@@ -84,13 +90,16 @@ class JoinOrderEnv : public SearchEnv {
   const Query* query_ = nullptr;
   std::vector<std::unique_ptr<JoinTreeNode>> subtrees_;
   bool done_ = true;
-  double last_reward_ = 0.0;
+  /// TerminalReward's cached score; valid iff scored_.
+  bool scored_ = false;
+  double terminal_reward_ = 0.0;
   /// Query-static featurization scratch (mutable: StateVector is const but
-  /// warms the cache). SetQuery starts a new binding; CloneSearch /
-  /// TryCopySearchStateFrom pass on only the binding token, not the
-  /// contents — a pooled env keeps its own warm cache while it serves the
-  /// same binding, and copying the map on every fork would cost more than
-  /// it saves.
+  /// warms the cache). SetQuery starts a new binding. CloneSearch passes
+  /// on only the binding token, not the contents: copying the map on every
+  /// fork would cost more than it saves. TryCopySearchStateFrom keeps this
+  /// env's own warm cache while it serves the same binding, and takes the
+  /// source's contents along with a new binding, so a pooled env starts
+  /// each search as warm as the env it copies.
   mutable FeaturizeCache feat_cache_;
 };
 

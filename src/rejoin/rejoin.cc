@@ -44,8 +44,8 @@ RejoinEpisodeStats RejoinTrainer::RunEpisode(const Query& query, bool train) {
       t.action = agent_.GreedyAction(t.state, t.mask);
       t.old_prob = 1.0;
     }
-    StepResult step = env_->Step(t.action);
-    t.reward = step.reward;
+    const bool done = env_->Step(t.action).done;
+    t.reward = done ? env_->TerminalReward() : 0.0;
     episode.steps.push_back(std::move(t));
     ++stats.steps;
   }

@@ -31,7 +31,8 @@
 namespace hfq {
 
 /// Runs one sampled episode of `query` on `env`, drawing actions from the
-/// frozen `agent` via the thread-safe inference path.
+/// frozen `agent` via the thread-safe inference path. The terminal reward
+/// is pulled once, onto the last transition.
 template <typename EnvT, typename QueryT>
 Episode RunSampledEpisode(const PolicyGradientAgent& agent, EnvT* env,
                           const QueryT& query, Rng* rng, MlpWorkspace* ws) {
@@ -43,8 +44,8 @@ Episode RunSampledEpisode(const PolicyGradientAgent& agent, EnvT* env,
     t.state = env->StateVector();
     t.mask = env->ActionMask();
     t.action = agent.SampleAction(t.state, t.mask, rng, ws, &t.old_prob);
-    StepResult step = env->Step(t.action);
-    t.reward = step.reward;
+    const bool done = env->Step(t.action).done;
+    t.reward = done ? env->TerminalReward() : 0.0;
     episode.steps.push_back(std::move(t));
   }
   return episode;

@@ -147,8 +147,8 @@ Result<std::vector<TeacherIterationStats>> RunTeacherLoop(
         t.state = task.env->StateVector();
         t.mask = task.env->ActionMask();
         t.action = action;
-        StepResult step = task.env->Step(action);
-        t.reward = step.reward;
+        const bool done = task.env->Step(action).done;
+        t.reward = done ? task.env->TerminalReward() : 0.0;
         demo.episode.steps.push_back(std::move(t));
       }
       HFQ_CHECK_MSG(task.env->Done(), "teacher demo ended before the episode");

@@ -3,6 +3,7 @@
 // the three training strategies, and the facade.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/bootstrap.h"
@@ -11,6 +12,7 @@
 #include "core/hands_free.h"
 #include "core/incremental.h"
 #include "core/reward.h"
+#include "rl/rollout.h"
 #include "tests/test_common.h"
 #include "workload/generator.h"
 
@@ -226,6 +228,93 @@ TEST_F(CoreTest, FinishedPlanIsAnnotatedWithoutScoring) {
     }
   }
   EXPECT_EQ(plans, 40 * 5 * 3);
+}
+
+// The terminal reward is pulled: stepping to the end never scores, the
+// first TerminalReward() does, and neither a second pull nor a copy of a
+// scored env (CloneSearch, TryCopySearchStateFrom) scores again.
+TEST_F(CoreTest, TerminalRewardIsScoredOnceOnDemand) {
+  NegLogLatencyReward latency(&engine().latency(), &engine().cost_model());
+  testing::CountingReward counting(&latency);
+  FullPipelineEnv env(&featurizer_, &engine().expert(), &counting);
+  Query q = MakeQuery(5, 108, "pull_ep");
+  env.SetQuery(&q);
+  env.Reset();
+  Rng rng(3);
+  while (!env.Done()) {
+    std::vector<bool> mask = env.ActionMask();
+    std::vector<int> valid;
+    for (int a = 0; a < env.action_dim(); ++a) {
+      if (mask[static_cast<size_t>(a)]) valid.push_back(a);
+    }
+    env.Step(rng.Choice(valid));
+  }
+  const double cost = env.FinalCost();
+  EXPECT_EQ(counting.calls(), 0);
+
+  // A clone of a finished, unscored env scores its own copy when pulled.
+  std::unique_ptr<SearchEnv> unscored = env.CloneSearch();
+  const double reward = env.TerminalReward();
+  EXPECT_EQ(counting.calls(), 1);
+  EXPECT_EQ(reward, -std::log10(std::max(
+                        1.0, engine().latency().SimulateMs(
+                                 q, *env.FinalPlan()))));
+  EXPECT_EQ(env.TerminalReward(), reward);
+  EXPECT_EQ(counting.calls(), 1);
+
+  std::unique_ptr<SearchEnv> clone = env.CloneSearch();
+  EXPECT_EQ(clone->TerminalReward(), reward);
+  EXPECT_EQ(clone->FinalCost(), cost);
+  FullPipelineEnv pooled(&featurizer_, &engine().expert(), &cost_reward_);
+  ASSERT_TRUE(pooled.TryCopySearchStateFrom(env));
+  EXPECT_EQ(pooled.TerminalReward(), reward);
+  EXPECT_EQ(pooled.FinalCost(), cost);
+  EXPECT_EQ(counting.calls(), 1);
+
+  EXPECT_EQ(unscored->TerminalReward(), reward);
+  EXPECT_EQ(counting.calls(), 2);
+
+  // A new episode starts unscored.
+  env.Reset();
+  EXPECT_FALSE(env.Done());
+  EXPECT_EQ(counting.calls(), 2);
+}
+
+// Training pulls the reward exactly once per episode that has decisions,
+// onto its last transition; zero-decision episodes contribute no
+// transitions and are never scored.
+TEST_F(CoreTest, SampledEpisodesPullTheRewardOncePerEpisode) {
+  testing::CountingReward counting(&cost_reward_);
+  FullPipelineEnv env(&featurizer_, &engine().expert(), &counting);
+  PolicyGradientAgent agent(env.state_dim(), env.action_dim(),
+                            PolicyGradientConfig(), /*seed=*/11);
+  std::vector<Query> queries;
+  for (int i = 0; i < 6; ++i) {
+    queries.push_back(MakeQuery(1 + i, 109, "sampled_" + std::to_string(i)));
+  }
+  Rng rng(4);
+  MlpWorkspace ws;
+  int scored_episodes = 0;
+  for (const Query& q : queries) {
+    Episode episode = RunSampledEpisode(agent, &env, q, &rng, &ws);
+    ASSERT_FALSE(episode.steps.empty()) << q.name;
+    ++scored_episodes;
+    EXPECT_EQ(counting.calls(), scored_episodes) << q.name;
+    for (size_t i = 0; i + 1 < episode.steps.size(); ++i) {
+      EXPECT_EQ(episode.steps[i].reward, 0.0);
+    }
+    EXPECT_EQ(episode.steps.back().reward, env.TerminalReward());
+    EXPECT_EQ(episode.steps.back().reward,
+              -std::log10(std::max(1.0, env.FinalCost())));
+  }
+  EXPECT_EQ(counting.calls(), 6);
+
+  // One relation and only the join order to decide: nothing to decide,
+  // nothing to score.
+  env.set_stages(PipelineStages::JoinOrderOnly());
+  Episode trivial = RunSampledEpisode(agent, &env, queries[0], &rng, &ws);
+  EXPECT_TRUE(trivial.steps.empty());
+  EXPECT_EQ(counting.calls(), 6);
 }
 
 TEST_F(CoreTest, ExpertEpisodeReplaysExpertDecisions) {

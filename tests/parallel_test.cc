@@ -119,8 +119,8 @@ TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
       t.state = env_.StateVector();
       t.mask = env_.ActionMask();
       t.action = reference.SampleAction(t.state, t.mask, &t.old_prob);
-      StepResult step = env_.Step(t.action);
-      t.reward = step.reward;
+      const bool done = env_.Step(t.action).done;
+      t.reward = done ? env_.TerminalReward() : 0.0;
       episode.steps.push_back(std::move(t));
     }
     reference_trajs.push_back(episode);

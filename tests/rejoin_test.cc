@@ -137,10 +137,10 @@ TEST_F(RejoinTest, EpisodeBuildsCompleteTree) {
       if (mask[static_cast<size_t>(a)]) valid.push_back(a);
     }
     ASSERT_FALSE(valid.empty());
-    StepResult r = env_.Step(rng.Choice(valid));
-    final_reward = r.reward;
+    env_.Step(rng.Choice(valid));
     ++steps;
   }
+  final_reward = env_.TerminalReward();
   EXPECT_EQ(steps, 5);  // n-1 joins.
   EXPECT_GT(final_reward, 0.0);
   const JoinTreeNode* tree = env_.FinalTree();
@@ -164,16 +164,15 @@ TEST_F(RejoinTest, TrainerImprovesOverRandomBaseline) {
     const Query& q = workload[static_cast<size_t>(e) % workload.size()];
     env_.SetQuery(&q);
     env_.Reset();
-    double reward = 0.0;
     while (!env_.Done()) {
       std::vector<bool> mask = env_.ActionMask();
       std::vector<int> valid;
       for (int a = 0; a < env_.action_dim(); ++a) {
         if (mask[static_cast<size_t>(a)]) valid.push_back(a);
       }
-      reward = env_.Step(rng.Choice(valid)).reward;
+      env_.Step(rng.Choice(valid));
     }
-    random_total += reward;
+    random_total += env_.TerminalReward();
     ++random_episodes;
   }
   double random_mean = random_total / random_episodes;
@@ -218,6 +217,42 @@ TEST_F(RejoinTest, TrainFlushesTrailingEpisodes) {
   // Evaluation episodes never enter the pending buffer.
   trainer.RunEpisode(q, /*train=*/false);
   EXPECT_EQ(trainer.pending_episodes(), 0u);
+}
+
+// RunEpisode (training and evaluation alike) pulls the terminal reward
+// exactly once per episode; a second pull and copies of the finished env
+// reuse the cached score.
+TEST_F(RejoinTest, EpisodesPullTheRewardOnce) {
+  int calls = 0;
+  JoinOrderEnv env(&featurizer_,
+                   [this, &calls](const Query& q, const JoinTreeNode& tree) {
+                     ++calls;
+                     return reward_fn_(q, tree);
+                   });
+  RejoinConfig config;
+  config.pg.hidden_dims = {16};
+  RejoinTrainer trainer(&env, config, 23);
+  Query q = MakeQuery(5, 11, "pull1");
+  for (int e = 0; e < 4; ++e) {
+    RejoinEpisodeStats stats = trainer.RunEpisode(q, /*train=*/e % 2 == 0);
+    EXPECT_EQ(calls, e + 1);
+    EXPECT_EQ(stats.reward, env.TerminalReward());
+  }
+  EXPECT_EQ(calls, 4);
+
+  const double cost = env.FinalCost();
+  std::unique_ptr<SearchEnv> clone = env.CloneSearch();
+  JoinOrderEnv pooled(&featurizer_, reward_fn_);
+  ASSERT_TRUE(pooled.TryCopySearchStateFrom(env));
+  EXPECT_EQ(clone->FinalCost(), cost);
+  EXPECT_EQ(pooled.FinalCost(), cost);
+  EXPECT_EQ(calls, 4);
+
+  // A single-relation episode is trivial: it scores 0 without a call.
+  Query single = MakeQuery(1, 12, "pull_single");
+  trainer.RunEpisode(single, /*train=*/true);
+  EXPECT_EQ(env.TerminalReward(), 0.0);
+  EXPECT_EQ(calls, 4);
 }
 
 TEST_F(RejoinTest, PlanIsDeterministicAndTimed) {

@@ -33,12 +33,15 @@ class BanditEnv : public Environment {
   }
   StepResult Step(int action) override {
     done_ = true;
-    return {action == 2 ? 1.0 : 0.1, true};
+    arm_ = action;
+    return {true};
   }
   bool Done() const override { return done_; }
+  double TerminalReward() override { return arm_ == 2 ? 1.0 : 0.1; }
 
  private:
   bool done_ = true;
+  int arm_ = 0;
 };
 
 // Two-step corridor: action 0 = "left", 1 = "right"; reward 1 only for
@@ -57,13 +60,12 @@ class CorridorEnv : public Environment {
   StepResult Step(int action) override {
     history_[static_cast<size_t>(step_)] = action;
     ++step_;
-    if (step_ == 2) {
-      double reward = (history_[0] == 1 && history_[1] == 0) ? 1.0 : 0.0;
-      return {reward, true};
-    }
-    return {0.0, false};
+    return {Done()};
   }
   bool Done() const override { return step_ >= 2; }
+  double TerminalReward() override {
+    return (history_[0] == 1 && history_[1] == 0) ? 1.0 : 0.0;
+  }
 
  private:
   int step_ = 2;
@@ -78,8 +80,8 @@ Episode RunEpisode(Environment* env, PolicyGradientAgent* agent) {
     t.state = env->StateVector();
     t.mask = env->ActionMask();
     t.action = agent->SampleAction(t.state, t.mask, &t.old_prob);
-    StepResult result = env->Step(t.action);
-    t.reward = result.reward;
+    const bool done = env->Step(t.action).done;
+    t.reward = done ? env->TerminalReward() : 0.0;
     episode.steps.push_back(std::move(t));
   }
   return episode;

@@ -15,6 +15,7 @@
 
 #include "util/stopwatch.h"
 
+#include "core/full_env.h"
 #include "core/reward.h"
 #include "rejoin/join_env.h"
 #include "rejoin/rejoin.h"
@@ -586,6 +587,51 @@ TEST_F(SearchTest, TrivialEpisodeHandledByAllModes) {
     EXPECT_TRUE(result.actions.empty()) << spec;
     EXPECT_TRUE(env_.Done()) << spec;
   }
+}
+
+// Plan search over the full-pipeline env ranks candidates by the cost
+// model alone: no searcher, serial or fanned out, ever pulls the terminal
+// reward (for the latency reward, a true-cardinality simulation).
+TEST(FullPipelineSearchTest, NoSearcherScoresTheEpisode) {
+  Engine& engine = testing::SharedEngine();
+  RejoinFeaturizer featurizer(6, &engine.estimator());
+  NegLogLatencyReward latency(&engine.latency(), &engine.cost_model());
+  testing::CountingReward counting(&latency);
+  FullPipelineEnv env(&featurizer, &engine.expert(), &counting);
+  PolicyGradientAgent agent(env.state_dim(), env.action_dim(),
+                            PolicyGradientConfig(), /*seed=*/5);
+  AgentPolicy policy(&agent);
+  WorkloadGenerator gen(&engine.catalog(), 131);
+  std::vector<Query> queries;
+  for (int i = 0; i < 3; ++i) {
+    auto q = gen.GenerateQuery(4 + i, "full_search_q" + std::to_string(i));
+    ASSERT_TRUE(q.ok());
+    queries.push_back(std::move(*q));
+  }
+  ThreadPool pool(2);
+  MlpWorkspace ws;
+  SearchScratch scratch;
+  for (const char* spec : {"greedy", "best-of-4", "beam-4",
+                           "best-first-2"}) {
+    auto config = ParseSearchSpec(spec);
+    ASSERT_TRUE(config.ok());
+    std::unique_ptr<PlanSearch> searcher = MakePlanSearch(*config);
+    for (const Query& q : queries) {
+      for (ThreadPool* fan_out : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        env.SetQuery(&q);
+        SearchContext ctx{&policy, /*rng=*/nullptr, &ws, &scratch};
+        auto result = searcher->Search(&env, ctx, fan_out);
+        ASSERT_TRUE(result.ok()) << spec << " " << q.name;
+        ASSERT_TRUE(env.Done());
+        EXPECT_EQ(result->cost, env.FinalCost()) << spec << " " << q.name;
+      }
+    }
+  }
+  EXPECT_EQ(counting.calls(), 0);
+  // The finished episode still scores on demand, once.
+  env.TerminalReward();
+  env.TerminalReward();
+  EXPECT_EQ(counting.calls(), 1);
 }
 
 }  // namespace

@@ -306,6 +306,51 @@ TEST(PlanServerTest, CalibrationUnlocksRicherTiersForFiniteBudgets) {
       SearchConfigName(server.effort().tier(server.effort().num_tiers() - 1)));
 }
 
+// Serving only plans. Cold plans, warm hits and effort calibration never
+// pull the training reward (for the latency reward, a true-cardinality
+// simulation), and neither do the facade's Optimize and
+// EvaluateLearnedOnEnv.
+TEST(PlanServerTest, ServingNeverScoresPlans) {
+  HandsFreeOptimizer& optimizer = TrainedOptimizer();
+  RewardSignal* training_reward = optimizer.env().reward();
+  testing::CountingReward counting(training_reward);
+  // Restores the shared optimizer's reward however the test exits.
+  struct RestoreReward {
+    HandsFreeOptimizer* optimizer;
+    RewardSignal* reward;
+    ~RestoreReward() { optimizer->env().set_reward(reward); }
+  } restore{&optimizer, training_reward};
+  optimizer.env().set_reward(&counting);
+
+  std::vector<Query> workload = ServeWorkload(3, 4, 2016);
+  {
+    PlanServer server(&optimizer, PlanServerConfig());
+    ASSERT_TRUE(server.PublishPolicy().ok());
+    ASSERT_TRUE(server.CalibrateEffort(workload).ok());
+    for (const Query& q : workload) {
+      auto cold = server.Plan(q);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      EXPECT_FALSE(cold->cache_hit);
+      auto warm = server.Plan(q, /*budget_ms=*/1e6);
+      ASSERT_TRUE(warm.ok());
+      EXPECT_TRUE(warm->cache_hit);
+    }
+    EXPECT_EQ(server.stats().cold_plans, workload.size());
+  }
+  std::unique_ptr<FullPipelineEnv> env = optimizer.MakeWorkerEnv();
+  MlpWorkspace ws;
+  for (const Query& q : workload) {
+    ASSERT_TRUE(optimizer.Optimize(q).ok());
+    for (const char* spec : {"greedy", "beam-4"}) {
+      auto search = ParseSearchSpec(spec);
+      ASSERT_TRUE(search.ok());
+      ASSERT_TRUE(
+          optimizer.EvaluateLearnedOnEnv(env.get(), q, &ws, *search).ok());
+    }
+  }
+  EXPECT_EQ(counting.calls(), 0);
+}
+
 TEST(PlanServerTest, PlanAsyncDeliversThroughTheServingPool) {
   PlanServer server(&TrainedOptimizer(), PlanServerConfig());
   ASSERT_TRUE(server.PublishPolicy().ok());

@@ -247,6 +247,30 @@ TEST(TeacherFacadeTest, RefineAppendsStatsAndKeepsGreedyNonWorse) {
   }
 }
 
+// The teacher loop's searches and greedy re-evaluations only plan; its
+// demonstration replay is the one place it learns from a reward, and it
+// pulls that reward exactly once per demonstrated episode.
+TEST(TeacherFacadeTest, DemoReplayPullsTheRewardOncePerDemo) {
+  HandsFreeOptimizer optimizer(&testing::SharedEngine(),
+                               TinyConfig(TrainingStrategy::
+                                              kCostModelBootstrapping));
+  std::vector<Query> workload = TinyWorkload(3, 4, 504);
+  ASSERT_TRUE(optimizer.Train(workload).ok());
+  testing::CountingReward counting(optimizer.env().reward());
+  optimizer.env().set_reward(&counting);
+
+  TeacherConfig teacher;
+  teacher.iterations = 2;
+  ASSERT_TRUE(optimizer.RefineWithTeacher(workload, teacher).ok());
+  ASSERT_EQ(optimizer.teacher_stats().size(), 2u);
+  int demos = 0;
+  for (const TeacherIterationStats& row : optimizer.teacher_stats()) {
+    demos += row.demos;
+  }
+  EXPECT_EQ(demos, 2 * static_cast<int>(workload.size()));
+  EXPECT_EQ(counting.calls(), demos);
+}
+
 TEST(TeacherFacadeTest, TrainRunsTeacherWhenConfigured) {
   HandsFreeConfig config =
       TinyConfig(TrainingStrategy::kCostModelBootstrapping);
