@@ -279,7 +279,8 @@ void FullPipelineEnv::SkipTrivialDecisions() {
         break;
       }
       case Stage::kDone:
-        FinishEpisode();
+        // Builds and costs the plan; scoring is left to TerminalReward.
+        final_plan_ = BuildPlan();
         return;
     }
   }
@@ -394,7 +395,6 @@ std::vector<bool> FullPipelineEnv::ActionMask() const {
 StepResult FullPipelineEnv::Step(int action) {
   HFQ_CHECK(!Done());
   const int n = featurizer_->max_relations();
-  StepResult result;
 
   switch (stage_) {
     case Stage::kJoinOrder: {
@@ -435,8 +435,7 @@ StepResult FullPipelineEnv::Step(int action) {
   }
 
   SkipTrivialDecisions();
-  result.done = Done();
-  return result;
+  return StepResult{Done()};
 }
 
 bool FullPipelineEnv::Done() const {
@@ -639,11 +638,6 @@ PlanNodePtr FullPipelineEnv::BuildPlan() {
     }
   }
   return plan;
-}
-
-void FullPipelineEnv::FinishEpisode() {
-  final_plan_ = BuildPlan();
-  scored_ = false;
 }
 
 Result<Episode> FullPipelineEnv::ExpertEpisode(const Query& query,

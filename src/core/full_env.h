@@ -132,8 +132,6 @@ class FullPipelineEnv : public SearchEnv {
                             PlanNodePtr right, int decision_idx);
   /// Most selective selection predicate on `rel` servable by `kind`.
   int PickIndexPredicate(int rel, IndexKind kind) const;
-  /// Builds the finished plan; scoring is left to TerminalReward.
-  void FinishEpisode();
 
   RejoinFeaturizer* featurizer_;
   TraditionalOptimizer* expert_;

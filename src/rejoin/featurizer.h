@@ -37,9 +37,10 @@ namespace hfq {
 /// token: an env takes a fresh token in SetQuery and passes it on to every
 /// env that copies its state. A cache whose token changes either empties
 /// (Bind) or takes the contents the copied env holds for the new token
-/// (BindLike); it never keeps contents across a change. The Query's address alone cannot tell queries apart: pooled
-/// envs outlive the query they last served, and a later query (or the same
-/// variable, reassigned) can occupy that address.
+/// (BindLike); it never keeps contents across a change. The Query's
+/// address alone cannot tell queries apart: pooled envs outlive the query
+/// they last served, and a later query (or the same variable, reassigned)
+/// can occupy that address.
 /// Not thread-safe: one cache per env, like MlpWorkspace.
 struct FeaturizeCache {
   uint64_t binding = 0;

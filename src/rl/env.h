@@ -84,8 +84,9 @@ class SearchEnv : public Environment {
   virtual double FinalCost() = 0;
 
   /// Pool-reuse hook: overwrite this env's in-flight episode state (the
-  /// cached terminal reward included) with a copy of `other`'s, reusing this object's existing allocations where
-  /// possible, and return true — or return false when `other` is not a
+  /// cached terminal reward included) with a copy of `other`'s, reusing
+  /// this object's existing allocations where possible, and return
+  /// true — or return false when `other` is not a
   /// compatible env (different concrete type or different shared
   /// collaborators), in which case this env is left unchanged and the
   /// caller must fall back to CloneSearch(). Lets searchers recycle env

@@ -172,9 +172,10 @@ TEST_F(CoreTest, PipelineStagesPrefixHelper) {
 }
 
 // Plan search ranks finished episodes by FinalCost and never scores them,
-// so the plan FinishEpisode builds must already carry the cost model's
-// annotation: re-annotating a clone with CostModel::Annotate changes no
-// bit, whichever stages the agent decides and whichever actions it takes.
+// so the plan the env builds when an episode ends must already carry the
+// cost model's annotation: re-annotating a clone with CostModel::Annotate
+// changes no bit, whichever stages the agent decides and whichever actions
+// it takes.
 TEST_F(CoreTest, FinishedPlanIsAnnotatedWithoutScoring) {
   // A reward that never touches the plan, so nothing but the env itself
   // can have annotated it.

@@ -303,5 +303,28 @@ TEST_F(RejoinTest, ReassignedQueryVariableIsRefeaturized) {
   EXPECT_EQ(pooled.StateVector(), expected);
 }
 
+// A pooled env that copies a warm env of another binding takes the warm
+// featurization cache along; what it featurizes from that cache is
+// bit-identical to an uncached featurization.
+TEST_F(RejoinTest, PooledCopyOfWarmEnvFeaturizesIdentically) {
+  Query q = MakeQuery(6, 13, "warm_copy");
+  env_.SetQuery(&q);
+  env_.Reset();
+  Rng rng(5);
+  while (!env_.Done()) {
+    env_.StateVector();  // Warms env_'s cache with this state's blocks.
+    JoinOrderEnv pooled(&featurizer_, reward_fn_);
+    ASSERT_TRUE(pooled.TryCopySearchStateFrom(env_));
+    EXPECT_EQ(pooled.StateVector(),
+              featurizer_.Featurize(q, pooled.Subtrees()));
+    std::vector<bool> mask = env_.ActionMask();
+    std::vector<int> valid;
+    for (int a = 0; a < env_.action_dim(); ++a) {
+      if (mask[static_cast<size_t>(a)]) valid.push_back(a);
+    }
+    env_.Step(rng.Choice(valid));
+  }
+}
+
 }  // namespace
 }  // namespace hfq
