@@ -137,14 +137,19 @@ BENCHMARK(BM_ExpertOptimizeDp)->Arg(4)->Arg(8)->Arg(11);
 // ResourceExhausted (the GEQO-fallback trigger) — the `exhausted` counter
 // records which regime a combo landed in, `subproblems` how much of the
 // space it materialized. n <= 12 walks every subset (3^12 splits, each
-// priced without building a plan; clique-12, where every split is
-// predicate-connected, is the slowest cell at a few hundred ms); n > 12
-// runs connected subgraphs only, where each subset still walks all of its
-// 2^|s| submasks (chain-20: tens of ms for 210 subproblems).
+// priced without building a plan or a predicate list); n > 12 runs
+// connected subgraphs only, where each subset still walks all of its
+// 2^|s| submasks. The seven topologies at 10 relations are the largest
+// plan_cold cells. Measured (Release, -march=native, 4-core VM, medians
+// of 3, two runs): the 12-relation cells 18-38 ms (clique-12 32-38
+// ms), chain-20 19-22 ms for 210 subproblems, clique-20 78-85 ms to trip
+// the budget, the 10-relation cells 2.5-4.7 ms (disconnected-10 0.07 ms).
 void BM_DpEnumerate(benchmark::State& state) {
-  const JoinTopology topologies[] = {JoinTopology::kChain,
-                                     JoinTopology::kStar,
-                                     JoinTopology::kClique};
+  const JoinTopology topologies[] = {
+      JoinTopology::kChain,  JoinTopology::kStar,
+      JoinTopology::kClique, JoinTopology::kSnowflake,
+      JoinTopology::kCyclic, JoinTopology::kDisconnected,
+      JoinTopology::kRandom};
   const JoinTopology topology = topologies[state.range(0)];
   const int n = static_cast<int>(state.range(1));
   WorkloadGenerator gen(&BenchEngine().catalog(), 31);
@@ -168,6 +173,7 @@ void BM_DpEnumerate(benchmark::State& state) {
 BENCHMARK(BM_DpEnumerate)
     ->ArgNames({"topo", "rels"})
     ->ArgsProduct({{0, 1, 2}, {8, 12, 16, 20}})
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6}, {10}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ExpertOptimizeGeqo(benchmark::State& state) {

@@ -26,7 +26,7 @@ int main() {
                           /*max_rels=*/12, /*seed=*/777);
 
   RejoinFeaturizer featurizer(13, &engine->estimator());
-  NegLogLatencyReward reward(&engine->latency(), &engine->cost_model());
+  NegLogLatencyReward reward(&engine->latency());
   FullEnvConfig config;
   config.allow_cross_products = true;  // Naive agent: nothing is masked.
   FullPipelineEnv env(&featurizer, &engine->expert(), &reward, config);

@@ -45,7 +45,7 @@ int main() {
                           /*max_rels=*/8, /*seed=*/51);
 
   RejoinFeaturizer featurizer(8, &engine->estimator());
-  NegLogLatencyReward reward(&engine->latency(), &engine->cost_model());
+  NegLogLatencyReward reward(&engine->latency());
 
   double expert_mean = 0.0;
   for (const Query& q : workload) {

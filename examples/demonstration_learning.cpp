@@ -31,7 +31,7 @@ int main() {
   }
 
   RejoinFeaturizer featurizer(6, &engine.estimator());
-  NegLogLatencyReward reward(&engine.latency(), &engine.cost_model());
+  NegLogLatencyReward reward(&engine.latency());
   FullPipelineEnv env(&featurizer, &engine.expert(), &reward);
 
   LfdConfig config;

@@ -24,10 +24,12 @@
 #
 # --bench-smoke additionally executes the batched-search-core benchmarks
 # (BM_PlanSearch + BM_FrontierForward), the DP plan-generator scaling
-# sweep (BM_DpEnumerate: chain/star/clique x 8/12/16/20 relations; the
-# n=12 cells walk the full 3^12-split subset space, priced without
-# building plans, in well under a second each), and the executor benches
-# (BM_Execute*: per-operator vectorized-vs-tuple-at-a-time A/B plus the
+# sweep (BM_DpEnumerate: chain/star/clique x 8/12/16/20 relations plus
+# all seven topologies at 10; the n=12 cells walk the full 3^12-split
+# subset space, priced without building plans, in well under a second
+# each), the whole expert Optimize (BM_ExpertOptimizeDp: DP plus
+# aggregate operator selection), and the executor benches (BM_Execute*:
+# per-operator vectorized-vs-tuple-at-a-time A/B plus the
 # hash-join and group-by acceptance benches), mirroring CI's bench-smoke
 # step: it proves the bench targets still run, not just compile. Numbers
 # are printed, not gated.
@@ -113,7 +115,7 @@ if [[ "$bench_smoke" == ON ]]; then
   # Mirrors CI's bench-smoke step (local builds keep HFQ_BUILD_BENCH on
   # in every configuration, so the binary is always here).
   ./bench/bench_micro_benchmarks \
-    --benchmark_filter='BM_PlanSearch|BM_FrontierForward|BM_DpEnumerate|BM_PlanServer|BM_Execute' \
+    --benchmark_filter='BM_PlanSearch|BM_FrontierForward|BM_DpEnumerate|BM_ExpertOptimizeDp|BM_PlanServer|BM_Execute' \
     --benchmark_min_time=0.01
 fi
 

@@ -27,8 +27,8 @@ BootstrapTrainer::BootstrapTrainer(FullPipelineEnv* env, Engine* engine,
       agent_(env->state_dim(), env->action_dim(), config.pg, seed),
       seed_(seed),
       cost_reward_(&engine->cost_model()),
-      latency_reward_(&engine->latency(), &engine->cost_model()),
-      scaled_reward_(&engine->latency(), &engine->cost_model()) {
+      latency_reward_(&engine->latency()),
+      scaled_reward_(&engine->latency()) {
   HFQ_CHECK(env != nullptr && engine != nullptr);
   HFQ_CHECK(config_.num_rollout_workers >= 1);
   env_->set_reward(&cost_reward_);

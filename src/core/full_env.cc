@@ -187,21 +187,10 @@ std::vector<int> FullPipelineEnv::ValidJoinOpActions(
   if (preds.empty()) return valid;
   // INLJ: inner (right) must be a base relation with an index on one of the
   // join columns.
-  if (node.right->IsLeaf()) {
-    int inner_rel = node.right->rel_idx;
-    const auto& rel_ref = query_->relations[static_cast<size_t>(inner_rel)];
-    for (int pi : preds) {
-      const auto& jp = query_->joins[static_cast<size_t>(pi)];
-      const ColumnRef& inner_col =
-          jp.left.rel_idx == inner_rel ? jp.left : jp.right;
-      if (expert_->catalog()->FindIndex(rel_ref.table, inner_col.column,
-                                        IndexKind::kHash) != nullptr ||
-          expert_->catalog()->FindIndex(rel_ref.table, inner_col.column,
-                                        IndexKind::kBTree) != nullptr) {
-        valid.push_back(1);
-        break;
-      }
-    }
+  if (node.right->IsLeaf() &&
+      !expert_->ProbeCandidates(*query_, node.right->rel_idx, preds)
+           .empty()) {
+    valid.push_back(1);
   }
   valid.push_back(2);  // Hash.
   valid.push_back(3);  // Merge.
@@ -353,9 +342,8 @@ std::vector<bool> FullPipelineEnv::ActionMask() const {
       for (int y = 0; y < live; ++y) {
         if (x == y) continue;
         bool connected =
-            !query_->JoinPredsBetween(subtrees_[static_cast<size_t>(x)]->rels,
-                                      subtrees_[static_cast<size_t>(y)]->rels)
-                 .empty();
+            query_->HasJoinBetween(subtrees_[static_cast<size_t>(x)]->rels,
+                                   subtrees_[static_cast<size_t>(y)]->rels);
         if (connected) {
           any_connected = true;
           mask[static_cast<size_t>(x * n + y)] = true;
@@ -563,27 +551,12 @@ PlanNodePtr FullPipelineEnv::BuildJoinNode(const JoinTreeNode& node,
   if (op == PhysicalOp::kIndexNestedLoopJoin) {
     HFQ_CHECK(right->IsScan());
     int inner_rel = right->rel_idx;
-    const auto& rel_ref = query_->relations[static_cast<size_t>(inner_rel)];
-    int probe_pred = -1;
-    IndexKind probe_kind = IndexKind::kHash;
-    for (int pi : preds) {
-      const auto& jp = query_->joins[static_cast<size_t>(pi)];
-      const ColumnRef& inner_col =
-          jp.left.rel_idx == inner_rel ? jp.left : jp.right;
-      if (expert_->catalog()->FindIndex(rel_ref.table, inner_col.column,
-                                        IndexKind::kHash) != nullptr) {
-        probe_pred = pi;
-        probe_kind = IndexKind::kHash;
-        break;
-      }
-      if (expert_->catalog()->FindIndex(rel_ref.table, inner_col.column,
-                                        IndexKind::kBTree) != nullptr) {
-        probe_pred = pi;
-        probe_kind = IndexKind::kBTree;
-        break;
-      }
-    }
-    HFQ_CHECK_MSG(probe_pred >= 0, "INLJ choice without index");
+    const std::vector<TraditionalOptimizer::ProbeCandidate> probes =
+        expert_->ProbeCandidates(*query_, inner_rel, preds);
+    HFQ_CHECK_MSG(!probes.empty(), "INLJ choice without index");
+    // The optimizer's rule: the first indexed predicate drives the probe.
+    const int probe_pred = probes.front().pred;
+    const IndexKind probe_kind = probes.front().kind;
     // Convert the inner to a plain filtered probe scan.
     std::vector<int> all_sels = right->filter_sel_idxs;
     if (right->index_sel_idx >= 0) all_sels.push_back(right->index_sel_idx);

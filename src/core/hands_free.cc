@@ -40,8 +40,8 @@ HandsFreeOptimizer::HandsFreeOptimizer(Engine* engine, HandsFreeConfig config)
       &engine_->catalog(), &engine_->cost_model(), geqo_options);
   featurizer_ = std::make_unique<RejoinFeaturizer>(config_.max_relations,
                                                    &engine_->estimator());
-  latency_reward_ = std::make_unique<NegLogLatencyReward>(
-      &engine_->latency(), &engine_->cost_model());
+  latency_reward_ =
+      std::make_unique<NegLogLatencyReward>(&engine_->latency());
   env_ = std::make_unique<FullPipelineEnv>(featurizer_.get(),
                                            &engine_->expert(),
                                            latency_reward_.get());

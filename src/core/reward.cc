@@ -30,22 +30,19 @@ double NegLogCostReward::Score(const Query& query, PlanNode* plan) {
   return -std::log10(std::max(1.0, cost));
 }
 
-NegLogLatencyReward::NegLogLatencyReward(LatencySimulator* simulator,
-                                         CostModel* cost_model)
-    : simulator_(simulator), cost_model_(cost_model) {
+NegLogLatencyReward::NegLogLatencyReward(LatencySimulator* simulator)
+    : simulator_(simulator) {
   HFQ_CHECK(simulator != nullptr);
 }
 
 double NegLogLatencyReward::Score(const Query& query, PlanNode* plan) {
-  if (cost_model_ != nullptr) cost_model_->Annotate(query, plan);
   const double latency_ms = simulator_->SimulateMs(query, *plan);
   last_latency_ms_.store(latency_ms);
   return -std::log10(std::max(1.0, latency_ms));
 }
 
-ScaledLatencyReward::ScaledLatencyReward(LatencySimulator* simulator,
-                                         CostModel* cost_model)
-    : simulator_(simulator), cost_model_(cost_model) {
+ScaledLatencyReward::ScaledLatencyReward(LatencySimulator* simulator)
+    : simulator_(simulator) {
   HFQ_CHECK(simulator != nullptr);
 }
 
@@ -71,7 +68,6 @@ double ScaledLatencyReward::ScaleLatency(double latency_ms) const {
 }
 
 double ScaledLatencyReward::Score(const Query& query, PlanNode* plan) {
-  if (cost_model_ != nullptr) cost_model_->Annotate(query, plan);
   const double latency_ms = simulator_->SimulateMs(query, *plan);
   last_latency_ms_.store(latency_ms);
   double scaled = std::max(1.0, ScaleLatency(latency_ms));

@@ -32,9 +32,9 @@ class RewardSignal {
  public:
   virtual ~RewardSignal() = default;
 
-  /// Reward for the (annotated or annotatable) plan. May annotate the
-  /// plan; for a plan the cost model already annotated that changes no
-  /// bit.
+  /// Reward for the (annotated or annotatable) plan. The cost rewards
+  /// annotate the plan, which changes no bit of a plan the cost model
+  /// already annotated; the latency rewards read no estimate.
   virtual double Score(const Query& query, PlanNode* plan) = 0;
 
   /// The raw metric (cost units or milliseconds) behind the last Score —
@@ -76,16 +76,14 @@ class NegLogCostReward : public RewardSignal {
 /// reward = -log10(simulated latency ms) — the "true" objective.
 class NegLogLatencyReward : public RewardSignal {
  public:
-  /// `simulator` must outlive the signal. `cost_model` (optional) is used
-  /// only to annotate plans for diagnostics.
-  NegLogLatencyReward(LatencySimulator* simulator, CostModel* cost_model);
+  /// `simulator` must outlive the signal.
+  explicit NegLogLatencyReward(LatencySimulator* simulator);
   double Score(const Query& query, PlanNode* plan) override;
   double LastMetric() const override { return last_latency_ms_.load(); }
   std::string name() const override { return "neg_log_latency"; }
 
  private:
   LatencySimulator* simulator_;
-  CostModel* cost_model_;
   std::atomic<double> last_latency_ms_{0.0};
 };
 
@@ -94,7 +92,7 @@ class NegLogLatencyReward : public RewardSignal {
 /// instances behave like NegLogLatencyReward.
 class ScaledLatencyReward : public RewardSignal {
  public:
-  ScaledLatencyReward(LatencySimulator* simulator, CostModel* cost_model);
+  explicit ScaledLatencyReward(LatencySimulator* simulator);
 
   /// Installs the Phase-1 observation ranges (paper: Cmin/Cmax are the
   /// min/max observed optimizer costs, Lmin/Lmax the min/max observed
@@ -113,7 +111,6 @@ class ScaledLatencyReward : public RewardSignal {
 
  private:
   LatencySimulator* simulator_;
-  CostModel* cost_model_;
   bool calibrated_ = false;
   double cost_min_ = 0.0, cost_max_ = 1.0;
   double latency_min_ = 0.0, latency_max_ = 1.0;

@@ -45,7 +45,7 @@ Result<PlanNodePtr> TraditionalOptimizer::EnumerateGreedy(
     for (size_t i = 0; i < forest.size(); ++i) {
       for (size_t j = i + 1; j < forest.size(); ++j) {
         bool connected =
-            !query.JoinPredsBetween(forest[i]->rels, forest[j]->rels).empty();
+            query.HasJoinBetween(forest[i]->rels, forest[j]->rels);
         if (best_connected && !connected) continue;
         double rows = cards->Rows(query, forest[i]->rels | forest[j]->rels);
         bool better = best_i < 0 || (connected && !best_connected) ||

@@ -19,7 +19,7 @@ PlanNodePtr TraditionalOptimizer::PlanFromPermutation(
     PlanNodePtr leaf = BestAccessPath(query, rel);
     bool attached = false;
     for (auto& tree : forest) {
-      if (!query.JoinPredsBetween(tree->rels, leaf->rels).empty()) {
+      if (query.HasJoinBetween(tree->rels, leaf->rels)) {
         tree = BestJoin(query, std::move(tree), std::move(leaf));
         attached = true;
         break;
@@ -30,8 +30,7 @@ PlanNodePtr TraditionalOptimizer::PlanFromPermutation(
     for (size_t i = 0; i + 1 < forest.size();) {
       bool merged = false;
       for (size_t j = i + 1; j < forest.size(); ++j) {
-        if (!query.JoinPredsBetween(forest[i]->rels, forest[j]->rels)
-                 .empty()) {
+        if (query.HasJoinBetween(forest[i]->rels, forest[j]->rels)) {
           forest[i] = BestJoin(query, std::move(forest[i]),
                                std::move(forest[j]));
           forest.erase(forest.begin() + static_cast<int64_t>(j));

@@ -53,8 +53,29 @@ TraditionalOptimizer::JoinInput JoinInputOf(const PlanNode& plan) {
 
 }  // namespace
 
+std::vector<TraditionalOptimizer::ProbeCandidate>
+TraditionalOptimizer::ProbeCandidates(const Query& query, int rel,
+                                      const std::vector<int>& preds) const {
+  const std::string& table =
+      query.relations[static_cast<size_t>(rel)].table;
+  std::vector<ProbeCandidate> out;
+  for (int pi : preds) {
+    const auto& jp = query.joins[static_cast<size_t>(pi)];
+    const bool left = jp.left.rel_idx == rel;
+    const ColumnRef& key = left ? jp.left : jp.right;
+    for (IndexKind kind : {IndexKind::kHash, IndexKind::kBTree}) {
+      if (catalog_->FindIndex(table, key.column, kind) != nullptr) {
+        out.push_back({pi, kind, left ? jp.right.rel_idx : jp.left.rel_idx});
+        break;  // One index suffices per predicate.
+      }
+    }
+  }
+  return out;
+}
+
 TraditionalOptimizer::JoinChoice TraditionalOptimizer::PriceJoin(
-    const Query& query, const std::vector<int>& preds, const JoinInput& outer,
+    const Query& query, bool connected,
+    std::span<const ProbeCandidate> inner_probes, const JoinInput& outer,
     const JoinInput& inner, double out_rows) const {
   JoinChoice best;
   bool any = false;
@@ -67,27 +88,18 @@ TraditionalOptimizer::JoinChoice TraditionalOptimizer::PriceJoin(
     any = true;
   };
 
-  if (options_.enable_nestloop || preds.empty()) {
+  if (options_.enable_nestloop || !connected) {
     // Like PostgreSQL's enable_nestloop, disabling is advisory: a cross
     // product has no other executable operator, so NLJ stays available.
     add(PhysicalOp::kNestedLoopJoin, -1, {});
   }
-  if (!preds.empty()) {
+  if (connected) {
     if (options_.enable_hashjoin) add(PhysicalOp::kHashJoin, -1, {});
     if (options_.enable_mergejoin) add(PhysicalOp::kMergeJoin, -1, {});
     if (options_.enable_indexnestloop && inner.is_scan) {
-      const auto& inner_rel = query.relations[static_cast<size_t>(
-          std::countr_zero(inner.rels))];
-      for (int pi : preds) {
-        const auto& jp = query.joins[static_cast<size_t>(pi)];
-        const ColumnRef& inner_key =
-            RelSetHas(inner.rels, jp.left.rel_idx) ? jp.left : jp.right;
-        for (IndexKind kind : {IndexKind::kHash, IndexKind::kBTree}) {
-          if (catalog_->FindIndex(inner_rel.table, inner_key.column, kind) !=
-              nullptr) {
-            add(PhysicalOp::kIndexNestedLoopJoin, pi, kind);
-            break;  // One index suffices per predicate.
-          }
+      for (const ProbeCandidate& probe : inner_probes) {
+        if (RelSetHas(outer.rels, probe.other)) {
+          add(PhysicalOp::kIndexNestedLoopJoin, probe.pred, probe.kind);
         }
       }
     }
@@ -119,6 +131,14 @@ PlanNodePtr TraditionalOptimizer::BuildJoin(const Query& query,
   return join;
 }
 
+std::vector<TraditionalOptimizer::ProbeCandidate>
+TraditionalOptimizer::InnerProbes(const Query& query,
+                                  const std::vector<int>& preds,
+                                  const PlanNode& inner) const {
+  if (!inner.IsScan()) return {};
+  return ProbeCandidates(query, inner.rel_idx, preds);
+}
+
 PlanNodePtr TraditionalOptimizer::BestJoin(const Query& query,
                                            PlanNodePtr outer,
                                            PlanNodePtr inner) {
@@ -126,8 +146,9 @@ PlanNodePtr TraditionalOptimizer::BestJoin(const Query& query,
   std::vector<int> preds = query.JoinPredsBetween(outer->rels, inner->rels);
   const double out_rows =
       cost_model_->cards()->Rows(query, outer->rels | inner->rels);
-  const JoinChoice choice = PriceJoin(query, preds, JoinInputOf(*outer),
-                                      JoinInputOf(*inner), out_rows);
+  const JoinChoice choice =
+      PriceJoin(query, !preds.empty(), InnerProbes(query, preds, *inner),
+                JoinInputOf(*outer), JoinInputOf(*inner), out_rows);
   return BuildJoin(query, choice, std::move(preds), std::move(outer),
                    std::move(inner));
 }
@@ -139,8 +160,12 @@ PlanNodePtr TraditionalOptimizer::BestJoinEitherOrientation(
   const double out_rows = cost_model_->cards()->Rows(query, a->rels | b->rels);
   const JoinInput in_a = JoinInputOf(*a);
   const JoinInput in_b = JoinInputOf(*b);
-  const JoinChoice ab = PriceJoin(query, preds, in_a, in_b, out_rows);
-  const JoinChoice ba = PriceJoin(query, preds, in_b, in_a, out_rows);
+  const JoinChoice ab = PriceJoin(query, !preds.empty(),
+                                  InnerProbes(query, preds, *b), in_a, in_b,
+                                  out_rows);
+  const JoinChoice ba = PriceJoin(query, !preds.empty(),
+                                  InnerProbes(query, preds, *a), in_b, in_a,
+                                  out_rows);
   if (ab.cost <= ba.cost) {
     return BuildJoin(query, ab, std::move(preds), std::move(a), std::move(b));
   }

@@ -13,6 +13,7 @@
 #define HFQ_OPTIMIZER_OPTIMIZER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cost/cost_model.h"
@@ -87,11 +88,31 @@ class TraditionalOptimizer {
     double cost = 0.0;
   };
 
+  /// One way an index nested-loop join can probe base relation `rel`:
+  /// join predicate `pred` links `rel` to relation `other`, and `rel`'s
+  /// join column has an index of `kind`.
+  struct ProbeCandidate {
+    int pred = -1;
+    IndexKind kind = IndexKind::kHash;
+    int other = -1;
+  };
+
+  /// `rel`'s probe candidates among the join predicates `preds` (indices
+  /// in ascending order, each with exactly one side on `rel`): one per
+  /// predicate whose `rel`-side column is indexed, in `preds` order, with
+  /// a hash index preferred over a B-tree.
+  std::vector<ProbeCandidate> ProbeCandidates(
+      const Query& query, int rel, const std::vector<int>& preds) const;
+
   /// The pricing half of BestJoin: picks the cheapest join operator for
   /// `outer` joined with `inner` in that orientation, without building a
-  /// plan. `preds` must be query.JoinPredsBetween(outer.rels, inner.rels)
-  /// and `out_rows` the estimated rows of their union.
-  JoinChoice PriceJoin(const Query& query, const std::vector<int>& preds,
+  /// plan. `connected` says whether a join predicate links the two inputs;
+  /// `inner_probes` holds the probe candidates of the inner relation when
+  /// it is a base scan (candidates whose `other` is not in `outer.rels`
+  /// are skipped, so a relation's full list may be passed); `out_rows` is
+  /// the estimated rows of the union.
+  JoinChoice PriceJoin(const Query& query, bool connected,
+                       std::span<const ProbeCandidate> inner_probes,
                        const JoinInput& outer, const JoinInput& inner,
                        double out_rows) const;
 
@@ -112,6 +133,12 @@ class TraditionalOptimizer {
   const Catalog* catalog() const { return catalog_; }
 
  private:
+  /// ProbeCandidates of `inner` as the inner of a join on `preds`; empty
+  /// unless `inner` is a base scan.
+  std::vector<ProbeCandidate> InnerProbes(const Query& query,
+                                          const std::vector<int>& preds,
+                                          const PlanNode& inner) const;
+
   /// The build half of BestJoin: the annotated join node for `choice`.
   PlanNodePtr BuildJoin(const Query& query, const JoinChoice& choice,
                         std::vector<int> preds, PlanNodePtr outer,

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <string>
 #include <unordered_set>
 
-#include "optimizer/optimizer.h"
 #include "util/check.h"
 
 namespace hfq {
@@ -85,17 +85,25 @@ Result<std::vector<RelSet>> PlanGenerator::ConnectedSubsets(
   return out;
 }
 
-void PlanGenerator::OfferSplit(RelSet s1, RelSet s2,
-                               const std::vector<int>& preds, double rows,
+void PlanGenerator::OfferSplit(RelSet s1, const Entry& e1, RelSet s2,
+                               const Entry& e2, bool connected, double rows,
                                Entry* best) const {
-  const Entry& e1 = table_.at(s1);
-  const Entry& e2 = table_.at(s2);
   const TraditionalOptimizer::JoinInput in1{s1, e1.rows, e1.cost,
                                             e1.outer == 0};
   const TraditionalOptimizer::JoinInput in2{s2, e2.rows, e2.cost,
                                             e2.outer == 0};
-  const double ab = optimizer_->PriceJoin(query_, preds, in1, in2, rows).cost;
-  const double ba = optimizer_->PriceJoin(query_, preds, in2, in1, rows).cost;
+  // PriceJoin reads the inner's probe candidates only for a base scan,
+  // whose candidates are its relation's.
+  const auto probes = [&](RelSet inner) {
+    return std::span<const TraditionalOptimizer::ProbeCandidate>(
+        probes_[static_cast<size_t>(std::countr_zero(inner))]);
+  };
+  const double ab =
+      optimizer_->PriceJoin(query_, connected, probes(s2), in1, in2, rows)
+          .cost;
+  const double ba =
+      optimizer_->PriceJoin(query_, connected, probes(s1), in2, in1, rows)
+          .cost;
   const bool swap = ba < ab;
   const double cost = swap ? ba : ab;
   if (best->outer == 0 || cost < best->cost) {
@@ -153,11 +161,14 @@ Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
   stats_ = PlanGenStats();
   stats_.subproblems = static_cast<int64_t>(subsets.size());
   std::vector<RelSet> neighbors(static_cast<size_t>(n));
+  probes_.assign(static_cast<size_t>(n), {});
   for (int rel = 0; rel < n; ++rel) {
     neighbors[static_cast<size_t>(rel)] = query_.NeighborsOf(rel);
+    probes_[static_cast<size_t>(rel)] = optimizer_->ProbeCandidates(
+        query_, rel,
+        query_.JoinPredsBetween(RelSetOf(rel), RelSetAll(n) & ~RelSetOf(rel)));
   }
   CardinalitySource* cards = optimizer_->cost_model()->cards();
-  const std::vector<int> no_preds;
 
   for (RelSet s : subsets) {
     if (RelSetCount(s) == 1) {
@@ -177,13 +188,18 @@ Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
     // sparse graphs most submasks are not subproblems.
     for (RelSet s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
       const RelSet s2 = s & ~s1;
-      if (s1 > s2 || !table_.contains(s1) || !table_.contains(s2)) continue;
+      if (s1 > s2) continue;
+      const auto e1 = table_.find(s1);
+      if (e1 == table_.end()) continue;
+      const auto e2 = table_.find(s2);
+      if (e2 == table_.end()) continue;
       RelSet s1_neighbors = 0;
       for (RelSet rest = s1; rest != 0; rest &= rest - 1) {
         s1_neighbors |= neighbors[static_cast<size_t>(std::countr_zero(rest))];
       }
       if ((s1_neighbors & s2) == 0) continue;
-      OfferSplit(s1, s2, query_.JoinPredsBetween(s1, s2), rows, &best);
+      OfferSplit(s1, e1->second, s2, e2->second, /*connected=*/true, rows,
+                 &best);
     }
     // Second pass (only when no predicate-connected split exists): cross
     // products, so the internally-disconnected subsets of the exhaustive
@@ -194,10 +210,13 @@ Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
     if (best.outer == 0) {
       for (RelSet s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
         const RelSet s2 = s & ~s1;
-        if (s1 > s2 || !table_.contains(s1) || !table_.contains(s2)) {
-          continue;
-        }
-        OfferSplit(s1, s2, no_preds, rows, &best);
+        if (s1 > s2) continue;
+        const auto e1 = table_.find(s1);
+        if (e1 == table_.end()) continue;
+        const auto e2 = table_.find(s2);
+        if (e2 == table_.end()) continue;
+        OfferSplit(s1, e1->second, s2, e2->second, /*connected=*/false, rows,
+                   &best);
       }
     }
     HFQ_CHECK_MSG(best.outer != 0, "DP subproblem admitted no usable split");
@@ -220,7 +239,8 @@ Result<PlanNodePtr> PlanGenerator::FindCheapestJoinPlan() {
     for (size_t m1 = (m - 1) & m; m1 != 0; m1 = (m1 - 1) & m) {
       const size_t m2 = m & ~m1;
       if (m1 > m2) continue;
-      OfferSplit(unions[m1], unions[m2], no_preds, rows, &best);
+      OfferSplit(unions[m1], table_.at(unions[m1]), unions[m2],
+                 table_.at(unions[m2]), /*connected=*/false, rows, &best);
     }
     table_.emplace(unions[m], best);
   }

@@ -4,7 +4,9 @@
 // achieves it; singletons hold their relation's access path. Pricing a
 // split runs the optimizer's PriceJoin on the two entries, so no PlanNode
 // is built or cloned per candidate: the plan tree is built once, at the
-// end, by recursing over the stored splits through BestJoin.
+// end, by recursing over the stored splits through BestJoin. PriceJoin's
+// inputs come from tables built once per query (per-relation neighbour
+// masks and INLJ probe candidates), so a split allocates nothing.
 //
 // Join cost is monotone in child cost and insensitive to input orderings
 // (merge join always charges both sorts), so one cheapest entry per
@@ -17,14 +19,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "optimizer/optimizer.h"
 #include "plan/physical_plan.h"
 #include "plan/query.h"
 #include "plan/relset.h"
 #include "util/status.h"
 
 namespace hfq {
-
-class TraditionalOptimizer;
 
 /// Join-graph components of at most this many relations walk every subset,
 /// internally-disconnected ones included (they get cross-product plans when
@@ -81,11 +82,12 @@ class PlanGenerator {
     RelSet inner = 0;
   };
 
-  /// Prices both orientations of joining `s1` and `s2` into a set of
-  /// `rows` rows (`s1` as outer first, so a cost tie keeps that
+  /// Prices both orientations of joining `s1` and `s2` (with table
+  /// entries `e1`, `e2`; `connected` if a join predicate links them) into
+  /// a set of `rows` rows (`s1` as outer first, so a cost tie keeps that
   /// orientation) and records the split in `best` if strictly cheaper.
-  void OfferSplit(RelSet s1, RelSet s2, const std::vector<int>& preds,
-                  double rows, Entry* best) const;
+  void OfferSplit(RelSet s1, const Entry& e1, RelSet s2, const Entry& e2,
+                  bool connected, double rows, Entry* best) const;
 
   /// Builds the plan for `s` from the stored splits.
   PlanNodePtr Build(RelSet s);
@@ -96,6 +98,9 @@ class PlanGenerator {
   PlanGenStats stats_;
   std::unordered_map<RelSet, Entry> table_;
   std::vector<PlanNodePtr> access_;  // Per relation, moved out by Build.
+  // Per relation, its probe candidates over every join predicate touching
+  // it, so pricing a split needs no predicate list.
+  std::vector<std::vector<TraditionalOptimizer::ProbeCandidate>> probes_;
 };
 
 }  // namespace hfq

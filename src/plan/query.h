@@ -41,6 +41,10 @@ struct Query {
   /// Indices of join predicates with one side in `a` and the other in `b`.
   std::vector<int> JoinPredsBetween(RelSet a, RelSet b) const;
 
+  /// True if some join predicate has one side in `a` and the other in `b`
+  /// (JoinPredsBetween non-empty, without building the list).
+  bool HasJoinBetween(RelSet a, RelSet b) const;
+
   /// Relations adjacent to `rel` in the join graph.
   RelSet NeighborsOf(int rel) const;
 

@@ -118,13 +118,9 @@ std::vector<bool> JoinOrderEnv::ActionMask() const {
   for (int x = 0; x < live; ++x) {
     for (int y = 0; y < live; ++y) {
       if (x == y) continue;
-      bool connected = !query_->JoinPredsBetween(subtrees_[
-                                                     static_cast<size_t>(x)]
-                                                     ->rels,
-                                                 subtrees_[
-                                                     static_cast<size_t>(y)]
-                                                     ->rels)
-                            .empty();
+      bool connected =
+          query_->HasJoinBetween(subtrees_[static_cast<size_t>(x)]->rels,
+                                 subtrees_[static_cast<size_t>(y)]->rels);
       if (connected) {
         any_connected = true;
         mask[static_cast<size_t>(EncodeAction(x, y))] = true;

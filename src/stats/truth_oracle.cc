@@ -199,7 +199,7 @@ Result<double> TrueCardinalityOracle::CountConnectedLocked(const Query& query,
     // Pick the smallest selected relation adjacent to the joined set.
     int next = -1;
     for (int rel : RelSetMembers(remaining)) {
-      if (!query.JoinPredsBetween(joined, RelSetOf(rel)).empty()) {
+      if (query.HasJoinBetween(joined, RelSetOf(rel))) {
         if (next < 0 || SelectedRowsLocked(query, memo, rel).size() <
                             SelectedRowsLocked(query, memo, next).size()) {
           next = rel;

@@ -86,7 +86,7 @@ TEST(RewardTest, ReciprocalCostMatchesPaperForm) {
 
 TEST(RewardTest, ScalingFormulaExact) {
   Engine& e = testing::SharedEngine();
-  ScaledLatencyReward reward(&e.latency(), &e.cost_model());
+  ScaledLatencyReward reward(&e.latency());
   EXPECT_FALSE(reward.calibrated());
   // Paper example: costs 10-50, latencies 100-200 (seconds there, ms here).
   reward.Calibrate(10.0, 50.0, 100.0, 200.0);
@@ -117,7 +117,7 @@ TEST(RewardTest, NegLogRewardsOrderPlansCorrectly) {
   auto tree = LeftDeepTree({3, 2, 1, 0});
   auto bad = bad_opt.PhysicalizeJoinTree(*q, *tree);
   ASSERT_TRUE(bad.ok());
-  NegLogLatencyReward reward(&e.latency(), &e.cost_model());
+  NegLogLatencyReward reward(&e.latency());
   double r_good = reward.Score(*q, good->get());
   double r_bad = reward.Score(*q, bad->get());
   EXPECT_GE(r_good, r_bad);
@@ -235,7 +235,7 @@ TEST_F(CoreTest, FinishedPlanIsAnnotatedWithoutScoring) {
 // first TerminalReward() does, and neither a second pull nor a copy of a
 // scored env (CloneSearch, TryCopySearchStateFrom) scores again.
 TEST_F(CoreTest, TerminalRewardIsScoredOnceOnDemand) {
-  NegLogLatencyReward latency(&engine().latency(), &engine().cost_model());
+  NegLogLatencyReward latency(&engine().latency());
   testing::CountingReward counting(&latency);
   FullPipelineEnv env(&featurizer_, &engine().expert(), &counting);
   Query q = MakeQuery(5, 108, "pull_ep");

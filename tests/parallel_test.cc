@@ -203,7 +203,7 @@ TEST(ParallelCoreTest, ParallelDemonstrationCollectionMatchesSerial) {
   };
 
   RejoinFeaturizer featurizer(8, &engine.estimator());
-  NegLogLatencyReward reward(&engine.latency(), &engine.cost_model());
+  NegLogLatencyReward reward(&engine.latency());
   FullPipelineEnv env_serial(&featurizer, &engine.expert(), &reward);
   FullPipelineEnv env_parallel(&featurizer, &engine.expert(), &reward);
 

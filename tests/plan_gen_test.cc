@@ -2,7 +2,7 @@
 // connected-subgraph enumeration counts and budgets, the property that the
 // generator's cheapest plan equals, node for node, an in-test
 // old-semantics exhaustive DPsize reference across every topology at
-// <= 10 relations, the same check against a connected-only reference
+// 4..10 relations, the same check against a connected-only reference
 // above kExhaustiveRelations, and large-join behavior (sparse graphs plan
 // exactly where the old 3^n enumerator was infeasible; dense graphs and
 // many-component cross products degrade to a clean ResourceExhausted /
@@ -192,15 +192,33 @@ void ExpectSamePlan(const PlanNode& got, const PlanNode& want,
   }
 }
 
+// Join nodes of `plan` by kind: index nested-loop joins (whose inner is a
+// base relation) and clauseless cross products (no join predicate).
+void CountSpecialJoins(const PlanNode& plan, int* inlj, int* cross) {
+  if (plan.IsJoin()) {
+    if (plan.op == PhysicalOp::kIndexNestedLoopJoin) {
+      EXPECT_TRUE(plan.child(1)->IsScan());
+      ++*inlj;
+    }
+    if (plan.join_pred_idxs.empty()) ++*cross;
+  }
+  for (size_t i = 0; i < plan.children.size(); ++i) {
+    CountSpecialJoins(*plan.child(i), inlj, cross);
+  }
+}
+
 TEST_F(PlanGenTest, PrunedCheapestCostMatchesExhaustiveReference) {
+  // Every plan_cold cell: 7 topologies x 4..10 relations.
   const JoinTopology topologies[] = {
       JoinTopology::kChain,  JoinTopology::kStar,
       JoinTopology::kClique, JoinTopology::kSnowflake,
       JoinTopology::kCyclic, JoinTopology::kDisconnected,
       JoinTopology::kRandom};
   uint64_t seed = 700;
+  int inlj = 0;
+  int cross = 0;
   for (JoinTopology topology : topologies) {
-    for (int n : {5, 10}) {
+    for (int n = 4; n <= 10; ++n) {
       Query query = TopologyQuery(topology, n, ++seed);
       const PlanNodePtr reference = ReferenceCheapestPlan(&expert(), query);
       PlanGenerator gen(&expert(), query, PlanGenOptions());
@@ -211,8 +229,13 @@ TEST_F(PlanGenTest, PrunedCheapestCostMatchesExhaustiveReference) {
       ExpectSamePlan(**plan, *reference,
                      std::string(JoinTopologyName(topology)) + " r" +
                          std::to_string(n));
+      CountSpecialJoins(**plan, &inlj, &cross);
     }
   }
+  // The pins cover both pricing special cases: an INLJ probing a base
+  // relation and a clauseless cross product.
+  EXPECT_GT(inlj, 0);
+  EXPECT_GT(cross, 0);
 }
 
 // --- Large-join scaling ------------------------------------------------

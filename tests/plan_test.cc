@@ -55,6 +55,12 @@ TEST(QueryTest, GraphHelpers) {
                                RelSetOf(2) | RelSetOf(3))
                 .size(),
             1u);
+  // HasJoinBetween agrees with JoinPredsBetween on every pair of subsets.
+  for (RelSet a = 1; a <= RelSetAll(4); ++a) {
+    for (RelSet b = 1; b <= RelSetAll(4); ++b) {
+      EXPECT_EQ(q.HasJoinBetween(a, b), !q.JoinPredsBetween(a, b).empty());
+    }
+  }
 }
 
 TEST(QueryTest, SelectionsOn) {

@@ -595,7 +595,7 @@ TEST_F(SearchTest, TrivialEpisodeHandledByAllModes) {
 TEST(FullPipelineSearchTest, NoSearcherScoresTheEpisode) {
   Engine& engine = testing::SharedEngine();
   RejoinFeaturizer featurizer(6, &engine.estimator());
-  NegLogLatencyReward latency(&engine.latency(), &engine.cost_model());
+  NegLogLatencyReward latency(&engine.latency());
   testing::CountingReward counting(&latency);
   FullPipelineEnv env(&featurizer, &engine.expert(), &counting);
   PolicyGradientAgent agent(env.state_dim(), env.action_dim(),
