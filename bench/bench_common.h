@@ -4,17 +4,18 @@
 #ifndef HFQ_BENCH_BENCH_COMMON_H_
 #define HFQ_BENCH_BENCH_COMMON_H_
 
-#include <cmath>
 #include <cstdio>
-#include <map>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/full_env.h"
 #include "core/reward.h"
-#include "rejoin/join_env.h"
-#include "rejoin/rejoin.h"
+#include "rl/rollout.h"
+#include "rl/search_context.h"
+#include "search/plan_search.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "workload/generator.h"
@@ -81,76 +82,94 @@ inline std::vector<Query> MakeLatencyWorkload(Engine* engine, int count,
   return workload;
 }
 
-/// Everything a ReJOIN experiment needs, wired to one engine.
+/// Everything a ReJOIN experiment needs, wired to one engine: the
+/// plan-building env with only the join-order stage enabled (the expert
+/// physicalizes every learned join tree, the paper's Section 3 division of
+/// labour) and a policy-gradient agent trained by the shared rollout loop.
 struct RejoinHarness {
   std::unique_ptr<RejoinFeaturizer> featurizer;
-  JoinRewardFn reward_fn;
-  std::unique_ptr<JoinOrderEnv> env;
-  std::unique_ptr<RejoinTrainer> trainer;
+  std::unique_ptr<ExpertRelativeCostReward> reward;
+  std::unique_ptr<FullPipelineEnv> env;
+  std::unique_ptr<PolicyGradientAgent> agent;
+  std::unique_ptr<RolloutLoop<FullPipelineEnv>> rollouts;
+  /// Planning scratch, reused across queries (the arena is immovable).
+  MlpWorkspace plan_ws;
+  std::unique_ptr<SearchScratch> plan_scratch =
+      std::make_unique<SearchScratch>();
 
-  /// Physicalizes a join tree through the expert's later pipeline stages
-  /// (the paper's Section 3 division of labour) and returns its cost.
-  double TreeCost(Engine* engine, const Query& query,
-                  const JoinTreeNode& tree) const {
-    auto plan = engine->expert().PhysicalizeJoinTree(query, tree);
-    HFQ_CHECK(plan.ok());
-    return (*plan)->est_cost;
+  /// Trains over `workload` round-robin; `on_episode(e, reward)` fires
+  /// after episode e (see RolloutLoop::Train for the ordering).
+  void Train(const std::vector<Query>& workload, int episodes,
+             const std::function<void(int, double)>& on_episode = nullptr) {
+    rollouts->Train(
+        workload, episodes,
+        [](int, FullPipelineEnv*, const Episode& episode) {
+          return episode.TotalReward();
+        },
+        [&on_episode](int e, double reward) {
+          if (on_episode) on_episode(e, reward);
+        });
+  }
+
+  /// Plans `query` with the frozen policy under `search` (greedy by
+  /// default) and returns the physical plan. `planning_ms_out` receives
+  /// the search's own planning-time charge — every rollout and expansion,
+  /// the Figure 3c metric. Deterministic per (model, query, search).
+  PlanNodePtr Plan(const Query& query,
+                   const SearchConfig& search = SearchConfig(),
+                   double* planning_ms_out = nullptr,
+                   SearchResult* result_out = nullptr) {
+    env->SetQuery(&query);
+    AgentPolicy policy(agent.get());
+    SearchContext ctx{&policy, /*rng=*/nullptr, &plan_ws,
+                      plan_scratch.get()};
+    auto result = MakePlanSearch(search)->Search(env.get(), ctx);
+    HFQ_CHECK_MSG(result.ok(), "plan search failed");
+    if (planning_ms_out != nullptr) *planning_ms_out = result->planning_ms;
+    if (result_out != nullptr) *result_out = std::move(*result);
+    return env->FinalPlan()->Clone();
   }
 };
 
-/// Builds the ReJOIN setup of the paper's case study: pairwise-join env
-/// rewarded from the expert's cost model. Two reward forms:
-///   * paper-literal 1/M(t) (expert_normalized = false);
-///   * -log10(M(t) / expert cost) (default): the same optimum per query,
-///     but cross-query comparable, which stabilizes one policy trained
-///     over a heterogeneous suite. Fig 3a's window metric (cost relative
-///     to the expert) is recovered exactly as 10^(-reward).
-inline RejoinHarness MakeRejoinHarness(Engine* engine, int max_relations,
-                                       RejoinConfig config = RejoinConfig(),
-                                       uint64_t seed = 7,
-                                       bool expert_normalized = true) {
+/// Builds the ReJOIN setup of the paper's case study, rewarded with
+/// -log10(M(t) / expert cost): the same optimum per query as the paper's
+/// 1/M(t) (ReciprocalCostReward), but cross-query comparable, which
+/// stabilizes one policy trained over a heterogeneous suite. Fig 3a's
+/// window metric (cost relative to the expert) is recovered exactly as
+/// 10^(-reward). `workload` is the training workload the reward prices
+/// expert costs for up front.
+inline RejoinHarness MakeRejoinHarness(
+    Engine* engine, int max_relations, const std::vector<Query>& workload,
+    PolicyGradientConfig pg = PolicyGradientConfig(),
+    int episodes_per_update = 8, int num_rollout_workers = 1,
+    uint64_t seed = 7) {
   RejoinHarness harness;
   harness.featurizer = std::make_unique<RejoinFeaturizer>(
       max_relations, &engine->estimator());
-  if (expert_normalized) {
-    auto expert_cost = std::make_shared<std::map<std::string, double>>();
-    harness.reward_fn = [engine, expert_cost](const Query& q,
-                                              const JoinTreeNode& tree) {
-      auto it = expert_cost->find(q.name);
-      if (it == expert_cost->end()) {
-        auto expert_plan = engine->expert().Optimize(q);
-        HFQ_CHECK(expert_plan.ok());
-        it = expert_cost->emplace(q.name,
-                                  std::max(1.0, (*expert_plan)->est_cost))
-                 .first;
-      }
-      auto plan = engine->expert().PhysicalizeJoinTree(q, tree);
-      HFQ_CHECK(plan.ok());
-      return -std::log10(std::max(1.0, (*plan)->est_cost) / it->second);
-    };
-  } else {
-    harness.reward_fn = [engine](const Query& q, const JoinTreeNode& tree) {
-      auto plan = engine->expert().PhysicalizeJoinTree(q, tree);
-      HFQ_CHECK(plan.ok());
-      return 1e5 / std::max(1.0, (*plan)->est_cost);  // Paper: 1/M(t).
-    };
-  }
-  harness.env = std::make_unique<JoinOrderEnv>(harness.featurizer.get(),
-                                               harness.reward_fn);
-  harness.trainer = std::make_unique<RejoinTrainer>(harness.env.get(),
-                                                    config, seed);
+  harness.reward = std::make_unique<ExpertRelativeCostReward>(
+      &engine->expert(), workload);
+  FullEnvConfig env_config;
+  env_config.stages = PipelineStages::JoinOrderOnly();
+  harness.env = std::make_unique<FullPipelineEnv>(
+      harness.featurizer.get(), &engine->expert(), harness.reward.get(),
+      env_config);
+  harness.agent = std::make_unique<PolicyGradientAgent>(
+      harness.env->state_dim(), harness.env->action_dim(), pg, seed);
+  harness.rollouts = std::make_unique<RolloutLoop<FullPipelineEnv>>(
+      harness.agent.get(), harness.env.get(), episodes_per_update,
+      num_rollout_workers, seed);
   return harness;
 }
 
 /// The Fig-3a training schedule: decay learning rate and entropy twice.
-inline void ApplyRejoinSchedule(RejoinTrainer* trainer, int episode,
+inline void ApplyRejoinSchedule(PolicyGradientAgent* agent, int episode,
                                 int total_episodes) {
   if (episode == total_episodes / 3) {
-    trainer->agent().set_policy_learning_rate(5e-4);
-    trainer->agent().set_entropy_coef(0.005);
+    agent->set_policy_learning_rate(5e-4);
+    agent->set_entropy_coef(0.005);
   } else if (episode == 2 * total_episodes / 3) {
-    trainer->agent().set_policy_learning_rate(2e-4);
-    trainer->agent().set_entropy_coef(0.002);
+    agent->set_policy_learning_rate(2e-4);
+    agent->set_entropy_coef(0.002);
   }
 }
 

@@ -1,11 +1,10 @@
 // FIG3A — Figure 3a, "ReJOIN convergence": mean plan cost relative to the
 // traditional optimizer (PostgreSQL in the paper) as training progresses.
 // The paper's curve starts around 800-900% and crosses ~100% near 8-9k
-// episodes. We train ReJOIN with the paper's reward (1/M(t), the expert's
-// cost model) over the JOB-like suite and print the same series.
-#include <algorithm>
+// episodes. We train ReJOIN on the expert's cost model (the paper's 1/M(t)
+// normalized by the expert plan's cost) over the JOB-like suite and print
+// the same series.
 #include <cmath>
-#include <map>
 
 #include "bench/bench_common.h"
 
@@ -20,19 +19,11 @@ int main() {
   auto engine = MakeEngine();
   std::vector<Query> workload = MakeJobSuite(engine.get());
 
-  // Expert baseline cost per query (computed once; the expert is static).
-  std::map<std::string, double> expert_cost;
-  for (const Query& q : workload) {
-    auto plan = engine->expert().Optimize(q);
-    HFQ_CHECK(plan.ok());
-    expert_cost[q.name] = std::max(1.0, (*plan)->est_cost);
-  }
-
-  RejoinConfig config;
-  config.pg.hidden_dims = {128, 128};  // ReJOIN's architecture.
-  config.pg.policy_lr = 1e-3;
-  config.episodes_per_update = 16;
-  RejoinHarness harness = MakeRejoinHarness(engine.get(), 17, config);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {128, 128};  // ReJOIN's architecture.
+  pg.policy_lr = 1e-3;
+  RejoinHarness harness = MakeRejoinHarness(engine.get(), 17, workload, pg,
+                                            /*episodes_per_update=*/16);
 
   const int kEpisodes = 9000;  // The paper needed ~9k to reach parity.
   const int kWindow = 250;
@@ -41,12 +32,11 @@ int main() {
 
   std::printf("%-10s %-26s %s\n", "episodes", "plan cost rel. to expert",
               "(window mean over last 250 episodes)");
-  harness.trainer->Train(
-      workload, kEpisodes,
-      [&](int episode, const RejoinEpisodeStats& stats) {
-        ApplyRejoinSchedule(harness.trainer.get(), episode, kEpisodes);
+  harness.Train(
+      workload, kEpisodes, [&](int episode, double reward) {
+        ApplyRejoinSchedule(harness.agent.get(), episode, kEpisodes);
         // reward = -log10(cost / expert)  =>  ratio = 10^(-reward).
-        double ratio = std::pow(10.0, -stats.reward);
+        double ratio = std::pow(10.0, -reward);
         window_ratio_sum += ratio;
         ++window_count;
         if ((episode + 1) % kWindow == 0) {
@@ -62,9 +52,7 @@ int main() {
   double total_ratio = 0.0;
   double wins = 0.0;
   for (const Query& q : workload) {
-    auto tree = harness.trainer->Plan(q);
-    double cost = harness.TreeCost(engine.get(), q, *tree);
-    double ratio = cost / expert_cost[q.name];
+    double ratio = harness.Plan(q)->est_cost / harness.reward->ExpertCost(q);
     total_ratio += ratio;
     if (ratio <= 1.001) wins += 1.0;
   }

@@ -24,17 +24,15 @@ int main() {
   auto engine = MakeEngine();
   std::vector<Query> workload = MakeJobSuite(engine.get());
 
-  RejoinConfig config;
-  config.pg.hidden_dims = {128, 128};
-  config.episodes_per_update = 16;
-  RejoinHarness harness = MakeRejoinHarness(engine.get(), 17, config);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {128, 128};
+  RejoinHarness harness = MakeRejoinHarness(engine.get(), 17, workload, pg,
+                                            /*episodes_per_update=*/16);
   const int kEpisodes = 6000;
   std::printf("training ReJOIN (%d episodes)...\n", kEpisodes);
-  harness.trainer->Train(workload, kEpisodes,
-                         [&](int episode, const RejoinEpisodeStats&) {
-                           ApplyRejoinSchedule(harness.trainer.get(),
-                                               episode, kEpisodes);
-                         });
+  harness.Train(workload, kEpisodes, [&](int episode, double) {
+    ApplyRejoinSchedule(harness.agent.get(), episode, kEpisodes);
+  });
 
   const std::vector<std::string> kFigureQueries = {
       "q1a", "q1b", "q1c", "q1d", "q8c", "q12b", "q13c", "q15a", "q16b",
@@ -51,11 +49,9 @@ int main() {
     const Query* q = by_name.at(name);
     auto expert = engine->RunExpert(*q);
     HFQ_CHECK(expert.ok());
-    auto tree = harness.trainer->Plan(*q);
-    auto rejoin_plan = engine->expert().PhysicalizeJoinTree(*q, *tree);
-    HFQ_CHECK(rejoin_plan.ok());
-    double rejoin_cost = (*rejoin_plan)->est_cost;
-    double rejoin_ms = engine->latency().SimulateMs(*q, **rejoin_plan);
+    PlanNodePtr rejoin_plan = harness.Plan(*q);
+    double rejoin_cost = rejoin_plan->est_cost;
+    double rejoin_ms = engine->latency().SimulateMs(*q, *rejoin_plan);
     double cr = rejoin_cost / std::max(1.0, expert->cost);
     double lr = rejoin_ms / std::max(1e-9, expert->latency_ms);
     cost_ratio_sum += cr;

@@ -38,11 +38,11 @@ int main() {
   for (auto& [n, queries] : by_size) {
     for (const Query& q : queries) train.push_back(q);
   }
-  RejoinConfig config;
-  config.pg.hidden_dims = {128, 128};
-  RejoinHarness harness = MakeRejoinHarness(engine.get(), 17, config);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {128, 128};
+  RejoinHarness harness = MakeRejoinHarness(engine.get(), 17, train, pg);
   std::printf("training ReJOIN (1500 episodes)...\n");
-  harness.trainer->Train(train, 1500);
+  harness.Train(train, 1500);
 
   std::printf("%-6s %16s %16s  %s\n", "rels", "expert (ms)", "rejoin (ms)",
               "expert enumerator");
@@ -57,7 +57,7 @@ int main() {
         HFQ_CHECK(plan.ok());
         expert_ms += watch.ElapsedMillis();
         double ms = 0.0;
-        auto tree = harness.trainer->Plan(q, &ms);
+        harness.Plan(q, SearchConfig(), &ms);
         rejoin_ms += ms;
       }
     }
@@ -97,15 +97,12 @@ int main() {
     double greedy_cost = 0.0, best_cost = 0.0, beam_cost = 0.0;
     for (const Query& q : by_size[n]) {
       double ms = 0.0;
-      auto greedy_tree = harness.trainer->Plan(q, &ms);
+      greedy_cost += harness.Plan(q, SearchConfig(), &ms)->est_cost;
       greedy_ms += ms;
-      greedy_cost += harness.TreeCost(engine.get(), q, *greedy_tree);
-      auto best_tree = harness.trainer->PlanWithSearch(q, best_of_8, &ms);
+      best_cost += harness.Plan(q, best_of_8, &ms)->est_cost;
       best_ms += ms;
-      best_cost += harness.TreeCost(engine.get(), q, *best_tree);
-      auto beam_tree = harness.trainer->PlanWithSearch(q, beam_4, &ms);
+      beam_cost += harness.Plan(q, beam_4, &ms)->est_cost;
       beam_ms += ms;
-      beam_cost += harness.TreeCost(engine.get(), q, *beam_tree);
     }
     const double denom = static_cast<double>(by_size[n].size());
     std::printf("%-6d %14.3f %14.3f %14.3f   b8:%.3f w4:%.3f\n", n,

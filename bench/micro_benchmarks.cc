@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -22,7 +21,6 @@
 #include "optimizer/plan_gen.h"
 #include "plan/physical_plan.h"
 #include "rejoin/featurizer.h"
-#include "rejoin/rejoin.h"
 #include "serve/plan_server.h"
 #include "sql/parser.h"
 
@@ -494,49 +492,24 @@ void BM_PolicyUpdatePerSampleReference(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyUpdatePerSampleReference);
 
-// Rollout-throughput scaling curve: RejoinTrainer::Train's collection
-// phase on 1/2/4/8 workers over a fixed 6-relation workload.
-// episodes_per_update equals the per-iteration budget, so one iteration is
-// one frozen-policy collection round plus a single batched update —
-// collection dominates the time, and items/sec reports episode throughput.
+// Training-throughput curve: the ReJOIN harness's shared rollout loop on
+// 1/2/4/8 workers over a fixed 6-relation workload. episodes_per_update
+// equals the per-iteration budget, so one iteration is one frozen-policy
+// collection round plus a single batched update, and items/sec reports
+// episode throughput. The single-threaded PPO update is most of each
+// iteration, so the curve caps well below linear scaling.
 void BM_RejoinRolloutCollection(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   constexpr int kEpisodesPerIter = 32;
-  Engine& engine = BenchEngine();
   std::vector<Query> workload;
   for (int i = 0; i < 4; ++i) workload.push_back(BenchQuery(6, 41 + i));
-  // Thread-safe reward: expert costs are precomputed, so worker threads
-  // only run PhysicalizeJoinTree + cost annotation (whose shared substrate
-  // is internally synchronized) and read this const map.
-  auto expert_cost = std::make_shared<std::map<std::string, double>>();
-  for (const Query& q : workload) {
-    auto plan = engine.expert().Optimize(q);
-    HFQ_CHECK(plan.ok());
-    (*expert_cost)[q.name] = std::max(1.0, (*plan)->est_cost);
-  }
-  JoinRewardFn reward = [&engine, expert_cost](const Query& q,
-                                               const JoinTreeNode& tree) {
-    auto plan = engine.expert().PhysicalizeJoinTree(q, tree);
-    HFQ_CHECK(plan.ok());
-    return -std::log10(std::max(1.0, (*plan)->est_cost) /
-                       expert_cost->at(q.name));
-  };
-  RejoinFeaturizer featurizer(8, &engine.estimator());
-  JoinOrderEnv primary(&featurizer, reward);
-  std::vector<std::unique_ptr<JoinOrderEnv>> extra_envs;
-  std::vector<JoinOrderEnv*> extra_ptrs;
-  for (int w = 1; w < workers; ++w) {
-    extra_envs.push_back(std::make_unique<JoinOrderEnv>(&featurizer, reward));
-    extra_ptrs.push_back(extra_envs.back().get());
-  }
-  RejoinConfig config;
-  config.pg.hidden_dims = {128, 128};
-  config.episodes_per_update = kEpisodesPerIter;
-  config.num_rollout_workers = workers;
-  RejoinTrainer trainer(&primary, config, 53);
-  trainer.SetWorkerEnvs(extra_ptrs);
+  // The expert-relative reward prices the workload's expert costs up
+  // front, so worker threads only read them.
+  bench::RejoinHarness harness = bench::MakeRejoinHarness(
+      &BenchEngine(), 8, workload, PolicyGradientConfig(), kEpisodesPerIter,
+      workers, /*seed=*/53);
   for (auto _ : state) {
-    trainer.Train(workload, kEpisodesPerIter);
+    harness.Train(workload, kEpisodesPerIter);
   }
   state.SetItemsProcessed(state.iterations() * kEpisodesPerIter);
 }
@@ -605,11 +578,11 @@ BENCHMARK(BM_FrontierForwardBatched)->Arg(4)->Arg(16)->Arg(64);
 // trade-off the eval matrix measures.
 void BM_PlanSearch(benchmark::State& state) {
   static bench::RejoinHarness* harness = [] {
-    auto* h = new bench::RejoinHarness(
-        bench::MakeRejoinHarness(&BenchEngine(), 8));
     std::vector<Query> workload;
     for (int i = 0; i < 3; ++i) workload.push_back(BenchQuery(7, 71 + i));
-    h->trainer->Train(workload, 64);
+    auto* h = new bench::RejoinHarness(
+        bench::MakeRejoinHarness(&BenchEngine(), 8, workload));
+    h->Train(workload, 64);
     return h;
   }();
   const Query query = BenchQuery(7, 71);
@@ -630,9 +603,8 @@ void BM_PlanSearch(benchmark::State& state) {
   double planning_ms = 0.0;
   SearchResult found;
   for (auto _ : state) {
-    auto tree = harness->trainer->PlanWithSearch(query, config, &planning_ms,
-                                                 &found);
-    benchmark::DoNotOptimize(tree);
+    auto plan = harness->Plan(query, config, &planning_ms, &found);
+    benchmark::DoNotOptimize(plan);
   }
   state.SetLabel(SearchConfigName(config));
   // The per-strategy planning time (the searcher's own stopwatch, i.e.

@@ -110,7 +110,7 @@ int main() {
   }
 
   RejoinFeaturizer featurizer(10, &engine->estimator());
-  NegLogCostReward reward(&engine->cost_model());
+  NegLogCostReward reward;
   const int kBudget = 1500;
 
   // (a) Naive: full pipeline + cross products allowed.

@@ -25,7 +25,7 @@ RunSeries RunMode(Engine* engine, const std::vector<Query>& workload,
                   BootstrapSwitchMode mode, int phase1, int phase2,
                   int window, uint64_t seed) {
   RejoinFeaturizer featurizer(8, &engine->estimator());
-  NegLogCostReward unused(&engine->cost_model());
+  NegLogCostReward unused;
   FullPipelineEnv env(&featurizer, &engine->expert(), &unused);
   BootstrapConfig config;
   config.pg.hidden_dims = {128, 128};
@@ -76,7 +76,7 @@ int main() {
   // Instrument the unit mismatch once (scaled run calibrates).
   {
     RejoinFeaturizer featurizer(8, &engine->estimator());
-    NegLogCostReward cost_reward(&engine->cost_model());
+    NegLogCostReward cost_reward;
     FullPipelineEnv env(&featurizer, &engine->expert(), &cost_reward);
     BootstrapConfig config;
     config.pg.hidden_dims = {64, 64};

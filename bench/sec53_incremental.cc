@@ -47,7 +47,7 @@ int main() {
   auto engine = MakeEngine();
   const int kMaxRelations = 8;
   RejoinFeaturizer featurizer(kMaxRelations, &engine->estimator());
-  NegLogCostReward reward(&engine->cost_model());
+  NegLogCostReward reward;
 
   // ---------- Part 1: the measured Figure 6 grid. ----------
   std::printf(

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::printf("\ntraining through the '%s' curriculum...\n",
               CurriculumKindName(kind));
   RejoinFeaturizer featurizer(6, &engine.estimator());
-  NegLogCostReward reward(&engine.cost_model());
+  NegLogCostReward reward;
   FullPipelineEnv env(&featurizer, &engine.expert(), &reward);
   WorkloadGenerator generator(&engine.catalog(), 606, QueryShapeOptions(),
                               &engine.db());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "rl/rollout.h"
 #include "util/check.h"
 
 namespace hfq {
@@ -25,113 +24,48 @@ BootstrapTrainer::BootstrapTrainer(FullPipelineEnv* env, Engine* engine,
       engine_(engine),
       config_(config),
       agent_(env->state_dim(), env->action_dim(), config.pg, seed),
-      seed_(seed),
-      cost_reward_(&engine->cost_model()),
       latency_reward_(&engine->latency()),
-      scaled_reward_(&engine->latency()) {
-  HFQ_CHECK(env != nullptr && engine != nullptr);
-  HFQ_CHECK(config_.num_rollout_workers >= 1);
+      scaled_reward_(&engine->latency()),
+      rollouts_(&agent_, env, config.episodes_per_update,
+                config.num_rollout_workers, seed) {
+  HFQ_CHECK(engine != nullptr);
   env_->set_reward(&cost_reward_);
-}
-
-void BootstrapTrainer::EnsureWorkers() {
-  if (config_.num_rollout_workers <= 1) return;
-  while (static_cast<int>(worker_envs_.size()) <
-         config_.num_rollout_workers - 1) {
-    worker_envs_.push_back(std::make_unique<FullPipelineEnv>(
-        env_->featurizer(), env_->expert(), env_->reward(), env_->config()));
-    worker_rngs_.push_back(std::make_unique<Rng>(
-        seed_ + static_cast<uint64_t>(worker_rngs_.size()) + 1));
-  }
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(config_.num_rollout_workers);
-  }
 }
 
 void BootstrapTrainer::RunPhase(
     const std::vector<Query>& workload, int episodes, int phase,
     const std::function<void(const BootstrapEpisodeStats&)>& on_episode) {
-  HFQ_CHECK(!workload.empty());
-  EnsureWorkers();
-  std::vector<FullPipelineEnv*> envs = {env_};
-  std::vector<Rng*> rngs = {&agent_.rng()};
-  for (auto& worker_env : worker_envs_) {
-    // The reward regime changes between phases: resync worker envs with
-    // the primary env's current signal (the signals themselves are
-    // thread-safe and shared).
-    worker_env->set_stages(env_->stages());
-    worker_env->set_reward(env_->reward());
-  }
-  for (size_t w = 0; w < worker_envs_.size(); ++w) {
-    envs.push_back(worker_envs_[w].get());
-    rngs.push_back(worker_rngs_[w].get());
-  }
-  ThreadPool* pool = config_.num_rollout_workers > 1 ? pool_.get() : nullptr;
-
-  // Round-based collection: a round ends exactly where the serial loop
-  // would apply a policy update, so the policy is frozen within a round
-  // and the update cadence matches the serial path episode-for-episode.
-  int e = 0;
-  while (e < episodes) {
-    const int room =
-        config_.episodes_per_update - static_cast<int>(pending_.size());
-    const int round = std::min(episodes - e, std::max(1, room));
-    std::vector<const Query*> queries(static_cast<size_t>(round));
-    std::vector<BootstrapEpisodeStats> stats(static_cast<size_t>(round));
-    for (int i = 0; i < round; ++i) {
-      queries[static_cast<size_t>(i)] =
-          &workload[static_cast<size_t>(e + i) % workload.size()];
-    }
-    std::vector<Episode> collected = CollectRollouts(
-        agent_, envs, rngs, queries, pool,
-        [&](int i, FullPipelineEnv* env, const Episode& episode) {
-          // In-worker: harvest plan-dependent stats before the env moves
-          // on (latency simulation shares the thread-safe oracle).
-          BootstrapEpisodeStats& s = stats[static_cast<size_t>(i)];
-          s.phase = phase;
-          s.query_name = queries[static_cast<size_t>(i)]->name;
-          s.reward = episode.TotalReward();
-          const PlanNode* plan = env->FinalPlan();
-          s.cost = plan->est_cost;
-          s.latency_ms = engine_->latency().SimulateMs(
-              *queries[static_cast<size_t>(i)], *plan);
-        });
-    for (int i = 0; i < round; ++i) {
-      BootstrapEpisodeStats& s = stats[static_cast<size_t>(i)];
-      s.episode = episode_counter_++;
-      if (phase == 1 && calibrating_ && e + i >= calibration_start_) {
-        if (!have_ranges_) {
-          cost_min_ = cost_max_ = s.cost;
-          lat_min_ = lat_max_ = s.latency_ms;
-          have_ranges_ = true;
-        } else {
-          cost_min_ = std::min(cost_min_, s.cost);
-          cost_max_ = std::max(cost_max_, s.cost);
-          lat_min_ = std::min(lat_min_, s.latency_ms);
-          lat_max_ = std::max(lat_max_, s.latency_ms);
+  rollouts_.Train(
+      workload, episodes,
+      [&](int e, FullPipelineEnv* env, const Episode& episode) {
+        // In-worker: harvest plan-dependent stats before the env moves
+        // on (latency simulation shares the thread-safe oracle).
+        const Query& query = workload[static_cast<size_t>(e) % workload.size()];
+        BootstrapEpisodeStats s;
+        s.phase = phase;
+        s.query_name = query.name;
+        s.reward = episode.TotalReward();
+        const PlanNode* plan = env->FinalPlan();
+        s.cost = plan->est_cost;
+        s.latency_ms = engine_->latency().SimulateMs(query, *plan);
+        return s;
+      },
+      [&](int e, BootstrapEpisodeStats& s) {
+        s.episode = episode_counter_++;
+        if (phase == 1 && calibrating_ && e >= calibration_start_) {
+          if (!have_ranges_) {
+            cost_min_ = cost_max_ = s.cost;
+            lat_min_ = lat_max_ = s.latency_ms;
+            have_ranges_ = true;
+          } else {
+            cost_min_ = std::min(cost_min_, s.cost);
+            cost_max_ = std::max(cost_max_, s.cost);
+            lat_min_ = std::min(lat_min_, s.latency_ms);
+            lat_max_ = std::max(lat_max_, s.latency_ms);
+          }
         }
-      }
-      Episode& episode = collected[static_cast<size_t>(i)];
-      if (!episode.steps.empty()) {
-        pending_.push_back(std::move(episode));
-        if (static_cast<int>(pending_.size()) >=
-            config_.episodes_per_update) {
-          agent_.Update(pending_);
-          pending_.clear();
-        }
-      }
-      if (on_episode) on_episode(s);
-    }
-    e += round;
-  }
-  // Flush the trailing partial batch: leftover episodes would otherwise
-  // be dropped at the end of Phase 2, or leak Phase-1 cost-reward
-  // episodes (with stale old_prob PPO ratios) into the first Phase-2
-  // update under a different reward scale.
-  if (!pending_.empty()) {
-    agent_.Update(pending_);
-    pending_.clear();
-  }
+        if (on_episode) on_episode(s);
+      });
 }
 
 void BootstrapTrainer::RunPhase1(

@@ -20,7 +20,7 @@
 #include "core/engine.h"
 #include "core/full_env.h"
 #include "rl/policy_gradient.h"
-#include "util/thread_pool.h"
+#include "rl/rollout.h"
 
 namespace hfq {
 
@@ -41,11 +41,9 @@ struct BootstrapConfig {
   /// Tail fraction of Phase 1 used to calibrate Cmin/Cmax/Lmin/Lmax.
   double calibration_fraction = 0.2;
   BootstrapSwitchMode switch_mode = BootstrapSwitchMode::kScaled;
-  /// Rollout-collection parallelism: N > 1 collects each update batch
-  /// across N worker envs (built internally from the primary env's
-  /// collaborators) against the frozen policy. Worker 0 shares the agent's
-  /// rng stream, worker w >= 1 samples from a stream seeded `seed + w`;
-  /// 1 worker reproduces the serial trajectories bit-for-bit.
+  /// Rollout-collection parallelism (rl/rollout.h): N > 1 collects each
+  /// update batch across N worker envs against the frozen policy; 1
+  /// worker reproduces the serial trajectories bit-for-bit.
   int num_rollout_workers = 1;
 };
 
@@ -86,27 +84,19 @@ class BootstrapTrainer {
   const ScaledLatencyReward& scaled_reward() const { return scaled_reward_; }
 
  private:
-  /// Shared phase driver: round-based (parallel-capable) episode
-  /// collection with the serial update cadence.
+  /// Shared phase driver over the rollout loop.
   void RunPhase(const std::vector<Query>& workload, int episodes, int phase,
                 const std::function<void(const BootstrapEpisodeStats&)>&
                     on_episode);
-
-  /// Builds worker envs / rngs / pool on first parallel use.
-  void EnsureWorkers();
 
   FullPipelineEnv* env_;
   Engine* engine_;
   BootstrapConfig config_;
   PolicyGradientAgent agent_;
-  uint64_t seed_;
   NegLogCostReward cost_reward_;
   NegLogLatencyReward latency_reward_;
   ScaledLatencyReward scaled_reward_;
-  std::vector<Episode> pending_;
-  std::vector<std::unique_ptr<FullPipelineEnv>> worker_envs_;
-  std::vector<std::unique_ptr<Rng>> worker_rngs_;
-  std::unique_ptr<ThreadPool> pool_;
+  RolloutLoop<FullPipelineEnv> rollouts_;
   int episode_counter_ = 0;
   /// Phase-1 episode index from which calibration accumulates (set by
   /// RunPhase1 for the phase driver).

@@ -433,7 +433,7 @@ bool FullPipelineEnv::Done() const {
 double FullPipelineEnv::TerminalReward() {
   HFQ_CHECK(Done());
   if (!scored_) {
-    terminal_reward_ = reward_->Score(*query_, final_plan_.get());
+    terminal_reward_ = reward_->Score(*query_, *final_plan_);
     scored_ = true;
   }
   return terminal_reward_;

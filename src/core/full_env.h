@@ -1,10 +1,14 @@
-// The full-pipeline MDP: one episode decides a complete physical plan via
+// The plan-building MDP: one episode decides a complete physical plan via
 // the paper's four-stage pipeline (Figure 8) — join ordering, index
 // (access-path) selection, join-operator selection, aggregate-operator
 // selection. Any suffix of the pipeline can be delegated to the traditional
 // optimizer (PipelineStages), which is exactly what the incremental
-// pipeline curriculum (Section 5.3.1) needs: ReJOIN is this environment
-// with only the join-order stage enabled.
+// pipeline curriculum (Section 5.3.1) needs. ReJOIN (Section 3) is this
+// environment with only the join-order stage enabled: states are the live
+// join subtrees, action (x, y) joins subtrees x and y, and the finished
+// plan is the expert's physicalization of the learned join tree
+// (TraditionalOptimizer::PhysicalizeJoinTree) — what its cost reward
+// prices.
 #ifndef HFQ_CORE_FULL_ENV_H_
 #define HFQ_CORE_FULL_ENV_H_
 
@@ -157,8 +161,12 @@ class FullPipelineEnv : public SearchEnv {
   bool scored_ = false;
   double terminal_reward_ = 0.0;
   /// Query-static featurization scratch (mutable: StateVector is const but
-  /// warms the cache). Bound in SetQuery; copied on clone/pool-copy with
-  /// the same rules as JoinOrderEnv's.
+  /// warms the cache). SetQuery starts a new binding. CloneSearch passes
+  /// on only the binding token, not the contents: copying the map on every
+  /// fork would cost more than it saves. TryCopySearchStateFrom keeps this
+  /// env's own warm cache while it serves the same binding, and takes the
+  /// source's contents along with a new binding, so a pooled env starts
+  /// each search as warm as the env it copies.
   mutable FeaturizeCache feat_cache_;
 };
 

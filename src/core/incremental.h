@@ -12,7 +12,7 @@
 
 #include "core/full_env.h"
 #include "rl/policy_gradient.h"
-#include "util/thread_pool.h"
+#include "rl/rollout.h"
 #include "workload/generator.h"
 
 namespace hfq {
@@ -67,17 +67,17 @@ class IncrementalTrainer {
  public:
   /// `env` and `generator` must outlive the trainer. With
   /// `num_rollout_workers` > 1 each update batch is collected in parallel
-  /// on that many workers; worker envs are built internally from the
-  /// primary env's collaborators (worker 0 shares the agent's rng stream,
-  /// worker w >= 1 samples from a stream seeded `seed + w`), so a fixed
-  /// (seed, worker count) is deterministic and 1 worker matches the serial
-  /// trajectories bit-for-bit.
+  /// on that many workers (rl/rollout.h); a fixed (seed, worker count) is
+  /// deterministic and 1 worker matches the serial trajectories
+  /// bit-for-bit.
   IncrementalTrainer(FullPipelineEnv* env, WorkloadGenerator* generator,
                      PolicyGradientConfig pg, int episodes_per_update,
                      uint64_t seed, int num_rollout_workers = 1);
 
   /// Runs all phases; `on_episode` fires per episode (in episode order; in
-  /// parallel mode, after the episode's batch finished collecting).
+  /// parallel mode, after the episode's batch finished collecting). Each
+  /// phase flushes its trailing partial batch, so no update mixes two
+  /// phases' stage regimes.
   Status Run(const std::vector<CurriculumPhase>& phases,
              int queries_per_phase,
              const std::function<void(const CurriculumEpisodeStats&)>&
@@ -86,20 +86,11 @@ class IncrementalTrainer {
   PolicyGradientAgent& agent() { return agent_; }
 
  private:
-  /// Builds worker envs / rngs / pool on first parallel use.
-  void EnsureWorkers();
-
   FullPipelineEnv* env_;
   WorkloadGenerator* generator_;
   PolicyGradientAgent agent_;
-  int episodes_per_update_;
-  uint64_t seed_;
-  int num_rollout_workers_;
-  std::vector<Episode> pending_;
+  RolloutLoop<FullPipelineEnv> rollouts_;
   int global_episode_ = 0;
-  std::vector<std::unique_ptr<FullPipelineEnv>> worker_envs_;
-  std::vector<std::unique_ptr<Rng>> worker_rngs_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace hfq

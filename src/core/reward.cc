@@ -7,27 +7,40 @@
 
 namespace hfq {
 
-ReciprocalCostReward::ReciprocalCostReward(CostModel* cost_model,
-                                           double scale)
-    : cost_model_(cost_model), scale_(scale) {
-  HFQ_CHECK(cost_model != nullptr);
+double ReciprocalCostReward::Score(const Query&, const PlanNode& plan) {
+  last_cost_.store(plan.est_cost);
+  return scale_ / std::max(1.0, plan.est_cost);
 }
 
-double ReciprocalCostReward::Score(const Query& query, PlanNode* plan) {
-  const double cost = cost_model_->Annotate(query, plan);
-  last_cost_.store(cost);
-  return scale_ / std::max(1.0, cost);
+double NegLogCostReward::Score(const Query&, const PlanNode& plan) {
+  last_cost_.store(plan.est_cost);
+  return -std::log10(std::max(1.0, plan.est_cost));
 }
 
-NegLogCostReward::NegLogCostReward(CostModel* cost_model)
-    : cost_model_(cost_model) {
-  HFQ_CHECK(cost_model != nullptr);
+ExpertRelativeCostReward::ExpertRelativeCostReward(
+    TraditionalOptimizer* expert, const std::vector<Query>& workload)
+    : expert_(expert) {
+  HFQ_CHECK(expert != nullptr);
+  for (const Query& query : workload) {
+    expert_cost_.emplace(query.ToSql(), PriceExpert(query));
+  }
 }
 
-double NegLogCostReward::Score(const Query& query, PlanNode* plan) {
-  const double cost = cost_model_->Annotate(query, plan);
-  last_cost_.store(cost);
-  return -std::log10(std::max(1.0, cost));
+double ExpertRelativeCostReward::PriceExpert(const Query& query) const {
+  auto plan = expert_->Optimize(query);
+  HFQ_CHECK_MSG(plan.ok(), "expert failed to plan");
+  return std::max(1.0, (*plan)->est_cost);
+}
+
+double ExpertRelativeCostReward::ExpertCost(const Query& query) const {
+  auto it = expert_cost_.find(query.ToSql());
+  return it != expert_cost_.end() ? it->second : PriceExpert(query);
+}
+
+double ExpertRelativeCostReward::Score(const Query& query,
+                                       const PlanNode& plan) {
+  last_cost_.store(plan.est_cost);
+  return -std::log10(std::max(1.0, plan.est_cost) / ExpertCost(query));
 }
 
 NegLogLatencyReward::NegLogLatencyReward(LatencySimulator* simulator)
@@ -35,8 +48,8 @@ NegLogLatencyReward::NegLogLatencyReward(LatencySimulator* simulator)
   HFQ_CHECK(simulator != nullptr);
 }
 
-double NegLogLatencyReward::Score(const Query& query, PlanNode* plan) {
-  const double latency_ms = simulator_->SimulateMs(query, *plan);
+double NegLogLatencyReward::Score(const Query& query, const PlanNode& plan) {
+  const double latency_ms = simulator_->SimulateMs(query, plan);
   last_latency_ms_.store(latency_ms);
   return -std::log10(std::max(1.0, latency_ms));
 }
@@ -67,8 +80,8 @@ double ScaledLatencyReward::ScaleLatency(double latency_ms) const {
          (latency_ms - latency_min_) / denom * (cost_max_ - cost_min_);
 }
 
-double ScaledLatencyReward::Score(const Query& query, PlanNode* plan) {
-  const double latency_ms = simulator_->SimulateMs(query, *plan);
+double ScaledLatencyReward::Score(const Query& query, const PlanNode& plan) {
+  const double latency_ms = simulator_->SimulateMs(query, plan);
   last_latency_ms_.store(latency_ms);
   double scaled = std::max(1.0, ScaleLatency(latency_ms));
   return -std::log10(scaled);

@@ -1,6 +1,7 @@
 // Reward signals for plan-producing MDPs. The paper's three regimes:
-//   * cost-model reward (ReJOIN: 1/M(t); also -log10 cost for the core
-//     experiments) — dense to compute, biased by estimation error;
+//   * cost-model reward (ReJOIN: 1/M(t), or -log10 of the cost relative to
+//     the expert's; also -log10 cost for the core experiments) — dense to
+//     compute, biased by estimation error;
 //   * latency reward — the "true" objective, expensive and differently
 //     scaled;
 //   * scaled latency (Section 5.2's formula): latency mapped linearly into
@@ -12,9 +13,11 @@
 
 #include <atomic>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
-#include "cost/cost_model.h"
 #include "exec/latency_model.h"
+#include "optimizer/optimizer.h"
 #include "plan/physical_plan.h"
 
 namespace hfq {
@@ -32,10 +35,10 @@ class RewardSignal {
  public:
   virtual ~RewardSignal() = default;
 
-  /// Reward for the (annotated or annotatable) plan. The cost rewards
-  /// annotate the plan, which changes no bit of a plan the cost model
-  /// already annotated; the latency rewards read no estimate.
-  virtual double Score(const Query& query, PlanNode* plan) = 0;
+  /// Reward for a finished plan. The cost rewards read the plan's
+  /// est_cost, which the env's cost-model annotation already holds; the
+  /// latency rewards read no estimate.
+  virtual double Score(const Query& query, const PlanNode& plan) = 0;
 
   /// The raw metric (cost units or milliseconds) behind the last Score —
   /// for instrumentation and calibration.
@@ -47,14 +50,12 @@ class RewardSignal {
 /// reward = scale / cost — the ReJOIN case-study reward (1/M(t)).
 class ReciprocalCostReward : public RewardSignal {
  public:
-  /// `cost_model` must outlive the signal.
-  explicit ReciprocalCostReward(CostModel* cost_model, double scale = 1e5);
-  double Score(const Query& query, PlanNode* plan) override;
+  explicit ReciprocalCostReward(double scale = 1e5) : scale_(scale) {}
+  double Score(const Query& query, const PlanNode& plan) override;
   double LastMetric() const override { return last_cost_.load(); }
   std::string name() const override { return "reciprocal_cost"; }
 
  private:
-  CostModel* cost_model_;
   double scale_;
   std::atomic<double> last_cost_{0.0};
 };
@@ -63,13 +64,38 @@ class ReciprocalCostReward : public RewardSignal {
 /// experiments.
 class NegLogCostReward : public RewardSignal {
  public:
-  explicit NegLogCostReward(CostModel* cost_model);
-  double Score(const Query& query, PlanNode* plan) override;
+  double Score(const Query& query, const PlanNode& plan) override;
   double LastMetric() const override { return last_cost_.load(); }
   std::string name() const override { return "neg_log_cost"; }
 
  private:
-  CostModel* cost_model_;
+  std::atomic<double> last_cost_{0.0};
+};
+
+/// reward = -log10(cost / expert cost) — ReJOIN's reward made comparable
+/// across queries: the same optimum per query as 1/M(t), but one policy
+/// trained over a heterogeneous suite sees rewards on one scale (0 =
+/// expert parity). The expert cost of every training query is priced at
+/// construction, keyed by Query::ToSql() (exact structure identity), and
+/// never written again, so concurrent rollout workers share the signal
+/// without a lock; any other query is priced on the fly.
+class ExpertRelativeCostReward : public RewardSignal {
+ public:
+  /// `expert` must outlive the signal.
+  ExpertRelativeCostReward(TraditionalOptimizer* expert,
+                           const std::vector<Query>& workload);
+  double Score(const Query& query, const PlanNode& plan) override;
+  double LastMetric() const override { return last_cost_.load(); }
+  std::string name() const override { return "expert_relative_cost"; }
+
+  /// The expert plan's cost for `query`, floored at 1.
+  double ExpertCost(const Query& query) const;
+
+ private:
+  double PriceExpert(const Query& query) const;
+
+  TraditionalOptimizer* expert_;
+  std::unordered_map<std::string, double> expert_cost_;
   std::atomic<double> last_cost_{0.0};
 };
 
@@ -78,7 +104,7 @@ class NegLogLatencyReward : public RewardSignal {
  public:
   /// `simulator` must outlive the signal.
   explicit NegLogLatencyReward(LatencySimulator* simulator);
-  double Score(const Query& query, PlanNode* plan) override;
+  double Score(const Query& query, const PlanNode& plan) override;
   double LastMetric() const override { return last_latency_ms_.load(); }
   std::string name() const override { return "neg_log_latency"; }
 
@@ -105,7 +131,7 @@ class ScaledLatencyReward : public RewardSignal {
   /// The scaled value r_l for a raw latency (exposed for tests).
   double ScaleLatency(double latency_ms) const;
 
-  double Score(const Query& query, PlanNode* plan) override;
+  double Score(const Query& query, const PlanNode& plan) override;
   double LastMetric() const override { return last_latency_ms_.load(); }
   std::string name() const override { return "scaled_latency"; }
 

@@ -1,7 +1,7 @@
 // The reinforcement-learning environment interface (states, masked discrete
-// actions, pull-based terminal rewards) shared by ReJOIN's join-ordering
-// MDP and the full-pipeline MDP, plus the branchable extension (SearchEnv)
-// that plan-time search (src/search) builds on.
+// actions, pull-based terminal rewards) of the plan-building MDP
+// (core/full_env.h), plus the branchable extension (SearchEnv) that
+// plan-time search (src/search) builds on.
 #ifndef HFQ_RL_ENV_H_
 #define HFQ_RL_ENV_H_
 
@@ -78,9 +78,7 @@ class SearchEnv : public Environment {
 
   /// Scalar score of the finished episode, lower is better (valid once
   /// Done()). Concrete envs define the unit: the full-pipeline env reports
-  /// the final plan's cost-model cost and never scores the episode; the
-  /// join-order env reports -TerminalReward(), because its reward is its
-  /// cost.
+  /// the final plan's cost-model cost and never scores the episode.
   virtual double FinalCost() = 0;
 
   /// Pool-reuse hook: overwrite this env's in-flight episode state (the

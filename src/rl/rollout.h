@@ -1,19 +1,23 @@
-// Parallel rollout collection: runs a round of episodes against one frozen
-// PolicyGradientAgent across N worker environments. This is the shared
-// engine behind every trainer's `num_rollout_workers` mode (ReJOIN, the
-// bootstrap / incremental drivers, and the facade's workload planning).
+// The round-based policy-gradient training loop every trainer shares
+// (cost-model bootstrapping, the incremental curricula, ReJOIN): sampled
+// episodes over a workload, one PolicyGradientAgent update per batch, and
+// optional parallel rollout collection across N worker environments.
 //
 // Contract:
-//   * episode i of the round uses queries[i] and runs on worker i % W,
-//     where W = envs.size(); each worker processes its episodes in
-//     ascending round order on its own env with its own Rng, so a round is
-//     deterministic for a fixed (agent state, rng states, W);
-//   * the agent must stay frozen for the round (updates happen between
-//     rounds — exactly the cadence of the serial trainers, which only
-//     update at batch boundaries);
-//   * with W == 1 (or pool == nullptr) the round runs inline on the calling
-//     thread, reproducing the serial trainer's rng consumption bit-for-bit
-//     when rngs[0] is the agent's own rng;
+//   * episodes run over the workload round-robin; the agent updates once
+//     per `episodes_per_update` non-empty episodes, and every Train call
+//     flushes its trailing partial batch before returning, so no episode
+//     (with its old_prob PPO ratios) outlives the run that sampled it;
+//   * collection runs in rounds that end exactly at the batch boundaries:
+//     the agent is frozen within a round, and episode i of a round runs on
+//     worker i % W, each worker taking its episodes in ascending order on
+//     its own env with its own Rng;
+//   * worker 0 is the primary env sampling from the agent's own rng, so
+//     one worker reproduces the serial trajectories bit-for-bit; worker
+//     w >= 1 samples from a persistent stream seeded `seed + w` on a clone
+//     of the primary env, re-cloned at every Train so a stage or reward
+//     change between runs reaches every worker; N workers are
+//     deterministic for a fixed (seed, N);
 //   * environments must be mutually independent: shared substrate they
 //     reach (CardinalityEstimator, TrueCardinalityOracle, reward signals)
 //     is internally synchronized, but an env instance itself is
@@ -21,8 +25,12 @@
 #ifndef HFQ_RL_ROLLOUT_H_
 #define HFQ_RL_ROLLOUT_H_
 
+#include <algorithm>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
+#include "rl/env.h"
 #include "rl/policy_gradient.h"
 #include "rl/trajectory.h"
 #include "util/check.h"
@@ -51,36 +59,96 @@ Episode RunSampledEpisode(const PolicyGradientAgent& agent, EnvT* env,
   return episode;
 }
 
-/// Collects one round of episodes (queries.size() of them) and returns them
-/// in round order. `per_episode(i, env, episode)` fires on the worker
-/// thread immediately after episode i finishes — use it to harvest
-/// env-dependent per-episode stats (e.g. the finished plan) before the
-/// worker moves on. Worker exceptions are re-thrown on the caller only
-/// after every worker has finished (RunOnWorkers), so a failing worker
-/// never leaves siblings writing into this frame.
-template <typename EnvT, typename QueryT, typename PerEpisodeFn>
-std::vector<Episode> CollectRollouts(const PolicyGradientAgent& agent,
-                                     const std::vector<EnvT*>& envs,
-                                     const std::vector<Rng*>& rngs,
-                                     const std::vector<const QueryT*>& queries,
-                                     ThreadPool* pool,
-                                     PerEpisodeFn per_episode) {
-  const size_t num_workers = envs.size();
-  HFQ_CHECK(num_workers >= 1);
-  HFQ_CHECK(rngs.size() == num_workers);
-  std::vector<Episode> episodes(queries.size());
-  RunOnWorkers(pool, static_cast<int>(num_workers), [&](int worker) {
-    const size_t w = static_cast<size_t>(worker);
-    MlpWorkspace ws;
-    for (size_t i = w; i < queries.size(); i += num_workers) {
-      HFQ_CHECK(queries[i] != nullptr);
-      episodes[i] =
-          RunSampledEpisode(agent, envs[w], *queries[i], rngs[w], &ws);
-      per_episode(static_cast<int>(i), envs[w], episodes[i]);
+/// Trains `agent` on episodes of `EnvT` (a SearchEnv with SetQuery; its
+/// CloneSearch builds the worker envs).
+template <typename EnvT>
+class RolloutLoop {
+ public:
+  /// `agent` and `env` must outlive the loop.
+  RolloutLoop(PolicyGradientAgent* agent, EnvT* env, int episodes_per_update,
+              int num_workers, uint64_t seed)
+      : agent_(agent),
+        env_(env),
+        episodes_per_update_(episodes_per_update),
+        num_workers_(num_workers) {
+    HFQ_CHECK(agent != nullptr && env != nullptr);
+    HFQ_CHECK(num_workers >= 1);
+    for (int w = 1; w < num_workers; ++w) {
+      worker_rngs_.push_back(
+          std::make_unique<Rng>(seed + static_cast<uint64_t>(w)));
     }
-  });
-  return episodes;
-}
+    if (num_workers > 1) pool_ = std::make_unique<ThreadPool>(num_workers);
+  }
+
+  /// Trains on `episodes` episodes; episode e (0-based within this call)
+  /// runs workload[e % workload.size()]. `harvest(e, env, episode)` runs on
+  /// the worker thread right after episode e finishes and returns its
+  /// stats — read env-dependent results (the finished plan) there.
+  /// `report(e, stats)` runs on the calling thread in episode order, after
+  /// episode e joined the batch and after the update it completed, if any;
+  /// a report that changes the agent therefore takes effect at batch
+  /// granularity.
+  template <typename QueryT, typename HarvestFn, typename ReportFn>
+  void Train(const std::vector<QueryT>& workload, int episodes,
+             HarvestFn harvest, ReportFn report) {
+    using Stats = std::invoke_result_t<HarvestFn&, int, EnvT*, const Episode&>;
+    HFQ_CHECK(!workload.empty());
+    std::vector<EnvT*> envs = {env_};
+    std::vector<Rng*> rngs = {&agent_->rng()};
+    std::vector<std::unique_ptr<SearchEnv>> worker_envs;
+    for (const auto& rng : worker_rngs_) {
+      worker_envs.push_back(env_->CloneSearch());
+      auto* worker_env = dynamic_cast<EnvT*>(worker_envs.back().get());
+      HFQ_CHECK(worker_env != nullptr);
+      envs.push_back(worker_env);
+      rngs.push_back(rng.get());
+    }
+
+    std::vector<Episode> pending;
+    int done = 0;
+    while (done < episodes) {
+      const int room =
+          episodes_per_update_ - static_cast<int>(pending.size());
+      const int round = std::min(episodes - done, std::max(1, room));
+      std::vector<Episode> collected(static_cast<size_t>(round));
+      std::vector<Stats> stats(static_cast<size_t>(round));
+      RunOnWorkers(pool_.get(), num_workers_, [&](int worker) {
+        const size_t w = static_cast<size_t>(worker);
+        MlpWorkspace ws;
+        for (size_t i = w; i < collected.size(); i += envs.size()) {
+          const int e = done + static_cast<int>(i);
+          collected[i] = RunSampledEpisode(
+              *agent_, envs[w],
+              workload[static_cast<size_t>(e) % workload.size()], rngs[w],
+              &ws);
+          stats[i] = harvest(e, envs[w], collected[i]);
+        }
+      });
+      for (int i = 0; i < round; ++i) {
+        Episode& episode = collected[static_cast<size_t>(i)];
+        if (!episode.steps.empty()) {
+          pending.push_back(std::move(episode));
+          if (static_cast<int>(pending.size()) >= episodes_per_update_) {
+            agent_->Update(pending);
+            pending.clear();
+          }
+        }
+        report(done + i, stats[static_cast<size_t>(i)]);
+      }
+      done += round;
+    }
+    if (!pending.empty()) agent_->Update(pending);
+  }
+
+ private:
+  PolicyGradientAgent* agent_;
+  EnvT* env_;
+  int episodes_per_update_;
+  int num_workers_;
+  /// Sampling streams for workers 1..N-1, persisted across Train calls.
+  std::vector<std::unique_ptr<Rng>> worker_rngs_;
+  std::unique_ptr<ThreadPool> pool_;
+};
 
 }  // namespace hfq
 

@@ -12,7 +12,7 @@
 // The loop is search-strategy agnostic: the teacher search arrives as an
 // injected callable (TeacherSearchFn), so this module depends only on the
 // rl/ layer while src/search (which depends on rl/) supplies the actual
-// searchers through src/core and src/rejoin.
+// searchers through src/core.
 #ifndef HFQ_RL_TEACHER_LOOP_H_
 #define HFQ_RL_TEACHER_LOOP_H_
 

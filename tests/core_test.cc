@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "core/bootstrap.h"
 #include "core/demonstration.h"
@@ -23,7 +24,6 @@ class CoreTest : public ::testing::Test {
  protected:
   CoreTest()
       : featurizer_(kN, &testing::SharedEngine().estimator()),
-        cost_reward_(&testing::SharedEngine().cost_model()),
         env_(&featurizer_, &testing::SharedEngine().expert(),
              &cost_reward_) {}
 
@@ -73,13 +73,13 @@ TEST_F(CoreTest, EngineWiresEverything) {
 
 TEST(RewardTest, ReciprocalCostMatchesPaperForm) {
   Engine& e = testing::SharedEngine();
-  ReciprocalCostReward reward(&e.cost_model(), 1e5);
+  ReciprocalCostReward reward(1e5);
   WorkloadGenerator gen(&e.catalog(), 101);
   auto q = gen.GenerateQuery(3, "rw1");
   ASSERT_TRUE(q.ok());
   auto plan = e.expert().Optimize(*q);
   ASSERT_TRUE(plan.ok());
-  double r = reward.Score(*q, plan->get());
+  double r = reward.Score(*q, **plan);
   EXPECT_NEAR(r, 1e5 / reward.LastMetric(), 1e-9);
   EXPECT_GT(reward.LastMetric(), 0.0);
 }
@@ -118,8 +118,8 @@ TEST(RewardTest, NegLogRewardsOrderPlansCorrectly) {
   auto bad = bad_opt.PhysicalizeJoinTree(*q, *tree);
   ASSERT_TRUE(bad.ok());
   NegLogLatencyReward reward(&e.latency());
-  double r_good = reward.Score(*q, good->get());
-  double r_bad = reward.Score(*q, bad->get());
+  double r_good = reward.Score(*q, **good);
+  double r_bad = reward.Score(*q, **bad);
   EXPECT_GE(r_good, r_bad);
 }
 
@@ -181,7 +181,7 @@ TEST_F(CoreTest, FinishedPlanIsAnnotatedWithoutScoring) {
   // can have annotated it.
   class PlanBlindReward : public RewardSignal {
    public:
-    double Score(const Query&, PlanNode*) override { return 0.0; }
+    double Score(const Query&, const PlanNode&) override { return 0.0; }
     double LastMetric() const override { return 0.0; }
     std::string name() const override { return "plan_blind"; }
   };
@@ -229,6 +229,71 @@ TEST_F(CoreTest, FinishedPlanIsAnnotatedWithoutScoring) {
     }
   }
   EXPECT_EQ(plans, 40 * 5 * 3);
+}
+
+// The logical join tree under a physical plan, orientation included.
+std::unique_ptr<JoinTreeNode> JoinTreeOf(const PlanNode& node) {
+  if (node.IsAggregate()) return JoinTreeOf(*node.child(0));
+  if (node.IsScan()) return JoinTreeNode::Leaf(node.rel_idx);
+  return JoinTreeNode::Join(JoinTreeOf(*node.child(0)),
+                            JoinTreeOf(*node.child(1)));
+}
+
+// ReJOIN's reward prices the expert's physicalization of the learned join
+// tree. With only the join-order stage enabled, the env's finished plan is
+// exactly that physicalization, node for node and bit for bit, so pricing
+// FinalPlan() is pricing the ReJOIN plan.
+TEST_F(CoreTest, JoinOrderOnlyPlanIsTheExpertPhysicalization) {
+  RejoinFeaturizer featurizer(10, &engine().estimator());
+  FullEnvConfig config;
+  config.stages = PipelineStages::JoinOrderOnly();
+  FullPipelineEnv env(&featurizer, &engine().expert(), &cost_reward_, config);
+  WorkloadGenerator gen(&engine().catalog(), 110);
+  int aggregated = 0;
+  for (int qi = 0; qi < 60; ++qi) {
+    auto q =
+        gen.GenerateQuery(1 + qi % 10, "rejoin_phys_" + std::to_string(qi));
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    if (!q->aggregates.empty() || !q->group_by.empty()) ++aggregated;
+    for (uint64_t seed = 0; seed < 2; ++seed) {
+      env.SetQuery(&*q);
+      env.Reset();
+      Rng rng(seed * 104729 + static_cast<uint64_t>(qi));
+      while (!env.Done()) {
+        std::vector<bool> mask = env.ActionMask();
+        std::vector<int> valid;
+        for (int a = 0; a < env.action_dim(); ++a) {
+          if (mask[static_cast<size_t>(a)]) valid.push_back(a);
+        }
+        env.Step(rng.Choice(valid));
+      }
+      const PlanNode* plan = env.FinalPlan();
+      auto expert =
+          engine().expert().PhysicalizeJoinTree(*q, *JoinTreeOf(*plan));
+      ASSERT_TRUE(expert.ok()) << expert.status().ToString();
+      std::vector<const PlanNode*> built, physicalized;
+      plan->CollectNodes(&built);
+      (*expert)->CollectNodes(&physicalized);
+      ASSERT_EQ(built.size(), physicalized.size()) << q->name;
+      for (size_t i = 0; i < built.size(); ++i) {
+        const PlanNode& a = *built[i];
+        const PlanNode& b = *physicalized[i];
+        const std::string where = q->name + " node " + std::to_string(i);
+        EXPECT_EQ(a.op, b.op) << where;
+        EXPECT_EQ(a.rels, b.rels) << where;
+        EXPECT_EQ(a.rel_idx, b.rel_idx) << where;
+        EXPECT_EQ(a.index_kind, b.index_kind) << where;
+        EXPECT_EQ(a.index_column, b.index_column) << where;
+        EXPECT_EQ(a.index_sel_idx, b.index_sel_idx) << where;
+        EXPECT_EQ(a.filter_sel_idxs, b.filter_sel_idxs) << where;
+        EXPECT_EQ(a.join_pred_idxs, b.join_pred_idxs) << where;
+        EXPECT_EQ(a.inner_probe_pred_idx, b.inner_probe_pred_idx) << where;
+        EXPECT_EQ(a.est_rows, b.est_rows) << where;
+        EXPECT_EQ(a.est_cost, b.est_cost) << where;
+      }
+    }
+  }
+  EXPECT_GT(aggregated, 0);
 }
 
 // The terminal reward is pulled: stepping to the end never scores, the
@@ -533,6 +598,51 @@ TEST_F(CoreTest, IncrementalTrainerRunsAllPhases) {
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(phases_seen.size(), 4u);
   env_.set_stages(PipelineStages::All());
+}
+
+// Every curriculum phase, and every bootstrap phase, flushes its trailing
+// partial batch: the next phase's first report already sees weights the
+// previous phase's remainder moved, so no update mixes two regimes.
+TEST_F(CoreTest, PhasesFlushTrailingEpisodes) {
+  auto weights = [](PolicyGradientAgent& agent) {
+    std::ostringstream out;
+    HFQ_CHECK(agent.Save(out).ok());
+    return out.str();
+  };
+  WorkloadGenerator gen(&engine().catalog(), 501);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {16};
+  IncrementalTrainer incremental(&env_, &gen, pg, /*episodes_per_update=*/8,
+                                 /*seed=*/43);
+  std::vector<CurriculumPhase> phases = {
+      {PipelineStages::JoinOrderOnly(), 4, 3, "join-order"},
+      {PipelineStages::All(), 4, 3, "all"}};
+  const std::string initial = weights(incremental.agent());
+  std::string at_second_phase;
+  ASSERT_TRUE(incremental
+                  .Run(phases, /*queries_per_phase=*/2,
+                       [&](const CurriculumEpisodeStats& s) {
+                         if (s.phase_index == 1 && at_second_phase.empty()) {
+                           at_second_phase = weights(incremental.agent());
+                         }
+                       })
+                  .ok());
+  EXPECT_NE(at_second_phase, initial);
+  EXPECT_NE(weights(incremental.agent()), at_second_phase);
+  env_.set_stages(PipelineStages::All());
+
+  BootstrapConfig config;
+  config.pg.hidden_dims = {16};
+  config.episodes_per_update = 8;
+  BootstrapTrainer bootstrap(&env_, &engine(), config, 47);
+  std::vector<Query> workload = {MakeQuery(4, 403, "bs_flush")};
+  const std::string bootstrap_initial = weights(bootstrap.agent());
+  bootstrap.RunPhase1(workload, 3);
+  const std::string after_phase1 = weights(bootstrap.agent());
+  EXPECT_NE(after_phase1, bootstrap_initial);
+  bootstrap.SwitchToPhase2();
+  bootstrap.RunPhase2(workload, 3);
+  EXPECT_NE(weights(bootstrap.agent()), after_phase1);
 }
 
 TEST(HandsFreeTest, FacadeTrainsAndOptimizes) {

@@ -7,14 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "core/hands_free.h"
 #include "core/reward.h"
-#include "rejoin/join_env.h"
-#include "rejoin/rejoin.h"
+#include "rl/rollout.h"
 #include "tests/test_common.h"
 #include "workload/generator.h"
 
@@ -51,17 +49,7 @@ void ExpectNetsEqual(Mlp& a, Mlp& b) {
 
 class ParallelRolloutTest : public ::testing::Test {
  protected:
-  ParallelRolloutTest()
-      : featurizer_(kN, &testing::SharedEngine().estimator()),
-        // Thread-safe reward: PhysicalizeJoinTree + cost annotation only
-        // touch the internally synchronized substrate.
-        reward_fn_([](const Query& q, const JoinTreeNode& tree) {
-          auto plan =
-              testing::SharedEngine().expert().PhysicalizeJoinTree(q, tree);
-          HFQ_CHECK(plan.ok());
-          return 1e5 / std::max(1.0, (*plan)->est_cost);
-        }),
-        env_(&featurizer_, reward_fn_) {}
+  ParallelRolloutTest() : rejoin_(kN) {}
 
   Query MakeQuery(int n, uint64_t seed, const std::string& name) {
     WorkloadGenerator gen(&testing::SharedEngine().catalog(), seed);
@@ -78,35 +66,48 @@ class ParallelRolloutTest : public ::testing::Test {
     return workload;
   }
 
+  // Trains through the shared rollout loop and returns every episode's
+  // trajectory in episode order.
+  static std::vector<Episode> TrainThroughLoop(
+      PolicyGradientAgent* agent, FullPipelineEnv* env,
+      const std::vector<Query>& workload, int episodes,
+      int episodes_per_update, int workers, uint64_t seed) {
+    RolloutLoop<FullPipelineEnv> loop(agent, env, episodes_per_update,
+                                      workers, seed);
+    std::vector<Episode> trajs;
+    loop.Train(
+        workload, episodes,
+        [](int, FullPipelineEnv*, const Episode& episode) { return episode; },
+        [&trajs](int e, const Episode& episode) {
+          EXPECT_EQ(e, static_cast<int>(trajs.size()));
+          trajs.push_back(episode);
+        });
+    return trajs;
+  }
+
   static constexpr int kN = 8;
-  RejoinFeaturizer featurizer_;
-  JoinRewardFn reward_fn_;
-  JoinOrderEnv env_;
+  testing::RejoinEnv rejoin_;
+  FullPipelineEnv& env_ = rejoin_.env;
 };
 
 TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
   std::vector<Query> workload = MakeWorkload(100, "eq");
   constexpr int kEpisodes = 50;
+  constexpr int kEpisodesPerUpdate = 8;
   constexpr uint64_t kSeed = 33;
-  RejoinConfig config;
-  config.pg.hidden_dims = {24, 24};
-  config.episodes_per_update = 8;
-  config.num_rollout_workers = 1;
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {24, 24};
 
-  // The trainer's (round-based, workspace-inference) path.
-  RejoinTrainer trainer(&env_, config, kSeed);
-  std::vector<Episode> trainer_trajs;
-  trainer.set_trajectory_sink([&trainer_trajs](int e, const Episode& ep) {
-    ASSERT_EQ(e, static_cast<int>(trainer_trajs.size()));
-    trainer_trajs.push_back(ep);
-  });
-  trainer.Train(workload, kEpisodes);
+  // The shared loop's (round-based, workspace-inference) path.
+  PolicyGradientAgent agent(env_.state_dim(), env_.action_dim(), pg, kSeed);
+  std::vector<Episode> loop_trajs = TrainThroughLoop(
+      &agent, &env_, workload, kEpisodes, kEpisodesPerUpdate, 1, kSeed);
 
   // Hand-rolled serial reference replicating the pre-parallelism trainer:
   // mutating SampleAction from the agent's rng, update every
   // episodes_per_update episodes, trailing flush.
-  PolicyGradientAgent reference(env_.state_dim(), env_.action_dim(),
-                                config.pg, kSeed);
+  PolicyGradientAgent reference(env_.state_dim(), env_.action_dim(), pg,
+                                kSeed);
   std::vector<Episode> reference_trajs;
   std::vector<Episode> pending;
   for (int e = 0; e < kEpisodes; ++e) {
@@ -126,7 +127,7 @@ TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
     reference_trajs.push_back(episode);
     if (!episode.steps.empty()) {
       pending.push_back(std::move(episode));
-      if (static_cast<int>(pending.size()) >= config.episodes_per_update) {
+      if (static_cast<int>(pending.size()) >= kEpisodesPerUpdate) {
         reference.Update(pending);
         pending.clear();
       }
@@ -134,12 +135,12 @@ TEST_F(ParallelRolloutTest, OneWorkerMatchesSerialReferenceBitForBit) {
   }
   if (!pending.empty()) reference.Update(pending);
 
-  ASSERT_EQ(trainer_trajs.size(), reference_trajs.size());
-  for (size_t i = 0; i < trainer_trajs.size(); ++i) {
-    ExpectEpisodesEqual(trainer_trajs[i], reference_trajs[i]);
+  ASSERT_EQ(loop_trajs.size(), reference_trajs.size());
+  for (size_t i = 0; i < loop_trajs.size(); ++i) {
+    ExpectEpisodesEqual(loop_trajs[i], reference_trajs[i]);
   }
-  ExpectNetsEqual(trainer.agent().policy_net(), reference.policy_net());
-  ExpectNetsEqual(trainer.agent().value_net(), reference.value_net());
+  ExpectNetsEqual(agent.policy_net(), reference.policy_net());
+  ExpectNetsEqual(agent.value_net(), reference.value_net());
 }
 
 TEST_F(ParallelRolloutTest, NWorkerRunIsDeterministicForFixedSeed) {
@@ -149,25 +150,14 @@ TEST_F(ParallelRolloutTest, NWorkerRunIsDeterministicForFixedSeed) {
   constexpr uint64_t kSeed = 55;
 
   auto run = [&](std::vector<Episode>* trajs) {
-    JoinOrderEnv primary(&featurizer_, reward_fn_);
-    std::vector<std::unique_ptr<JoinOrderEnv>> extra;
-    std::vector<JoinOrderEnv*> extra_ptrs;
-    for (int w = 1; w < kWorkers; ++w) {
-      extra.push_back(
-          std::make_unique<JoinOrderEnv>(&featurizer_, reward_fn_));
-      extra_ptrs.push_back(extra.back().get());
-    }
-    RejoinConfig config;
-    config.pg.hidden_dims = {24, 24};
-    config.episodes_per_update = 8;
-    config.num_rollout_workers = kWorkers;
-    auto trainer = std::make_unique<RejoinTrainer>(&primary, config, kSeed);
-    trainer->SetWorkerEnvs(extra_ptrs);
-    trainer->set_trajectory_sink(
-        [trajs](int, const Episode& ep) { trajs->push_back(ep); });
-    trainer->Train(workload, kEpisodes);
-    Mlp policy(trainer->agent().policy_net());
-    return policy;
+    testing::RejoinEnv primary(kN);
+    PolicyGradientConfig pg;
+    pg.hidden_dims = {24, 24};
+    PolicyGradientAgent agent(primary.env.state_dim(),
+                              primary.env.action_dim(), pg, kSeed);
+    *trajs = TrainThroughLoop(&agent, &primary.env, workload, kEpisodes,
+                              /*episodes_per_update=*/8, kWorkers, kSeed);
+    return Mlp(agent.policy_net());
   };
 
   std::vector<Episode> trajs1, trajs2;
@@ -271,7 +261,7 @@ TEST(ParallelCoreTest, CompareWorkloadMatchesPerQueryCompare) {
 TEST(ParallelCoreTest, IncrementalTrainerParallelRunIsDeterministic) {
   Engine& engine = testing::SharedEngine();
   RejoinFeaturizer featurizer(6, &engine.estimator());
-  NegLogCostReward reward(&engine.cost_model());
+  NegLogCostReward reward;
 
   auto run = [&](std::vector<double>* rewards) {
     FullPipelineEnv env(&featurizer, &engine.expert(), &reward);

@@ -130,7 +130,7 @@ TEST_P(PropertyTest, RandomJoinTreesExecuteIdentically) {
 TEST_P(PropertyTest, FullEnvRandomRolloutsYieldExecutablePlans) {
   Query q = RandomQuery(5, 5);
   RejoinFeaturizer featurizer(6, &engine().estimator());
-  NegLogCostReward reward(&engine().cost_model());
+  NegLogCostReward reward;
   FullPipelineEnv env(&featurizer, &engine().expert(), &reward);
   env.SetQuery(&q);
   env.Reset();

@@ -1,29 +1,43 @@
-// Tests for src/rejoin: featurization properties, the join-order MDP's
-// transition/mask semantics, and short-horizon training improvement.
+// Tests for ReJOIN (paper Section 3): featurization properties, the
+// join-order stage's transition/mask semantics, and short-horizon training
+// improvement through the shared rollout loop.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <sstream>
 
+#include "core/full_env.h"
 #include "core/reward.h"
-#include "rejoin/join_env.h"
-#include "rejoin/rejoin.h"
+#include "rl/rollout.h"
+#include "search/plan_search.h"
 #include "tests/test_common.h"
 #include "workload/generator.h"
 
 namespace hfq {
 namespace {
 
+std::vector<int> ValidActions(const FullPipelineEnv& env) {
+  std::vector<bool> mask = env.ActionMask();
+  std::vector<int> valid;
+  for (int a = 0; a < env.action_dim(); ++a) {
+    if (mask[static_cast<size_t>(a)]) valid.push_back(a);
+  }
+  return valid;
+}
+
+std::string Weights(PolicyGradientAgent& agent) {
+  std::ostringstream out;
+  HFQ_CHECK(agent.Save(out).ok());
+  return out.str();
+}
+
+// The join subtree under an optional aggregate root.
+const PlanNode* JoinRoot(const PlanNode* plan) {
+  return plan->IsAggregate() ? plan->child(0) : plan;
+}
+
 class RejoinTest : public ::testing::Test {
  protected:
-  RejoinTest()
-      : featurizer_(kN, &testing::SharedEngine().estimator()),
-        reward_fn_([this](const Query& q, const JoinTreeNode& tree) {
-          auto plan =
-              testing::SharedEngine().expert().PhysicalizeJoinTree(q, tree);
-          HFQ_CHECK(plan.ok());
-          return 1e5 / std::max(1.0, (*plan)->est_cost);
-        }),
-        env_(&featurizer_, reward_fn_) {}
+  RejoinTest() : rejoin_(kN) {}
 
   Query MakeQuery(int n, uint64_t seed, const std::string& name) {
     WorkloadGenerator gen(&testing::SharedEngine().catalog(), seed);
@@ -32,10 +46,20 @@ class RejoinTest : public ::testing::Test {
     return std::move(*q);
   }
 
+  // Greedy episode under the agent's current policy; returns its reward.
+  double GreedyReward(PolicyGradientAgent& agent, const Query& q) {
+    env_.SetQuery(&q);
+    env_.Reset();
+    while (!env_.Done()) {
+      env_.Step(agent.GreedyAction(env_.StateVector(), env_.ActionMask()));
+    }
+    return env_.TerminalReward();
+  }
+
   static constexpr int kN = 8;
-  RejoinFeaturizer featurizer_;
-  JoinRewardFn reward_fn_;
-  JoinOrderEnv env_;
+  testing::RejoinEnv rejoin_;
+  RejoinFeaturizer& featurizer_ = rejoin_.featurizer;
+  FullPipelineEnv& env_ = rejoin_.env;
 };
 
 TEST_F(RejoinTest, FeatureDimAndStaticBlocks) {
@@ -44,7 +68,12 @@ TEST_F(RejoinTest, FeatureDimAndStaticBlocks) {
   env_.SetQuery(&q);
   env_.Reset();
   std::vector<double> f = env_.StateVector();
-  ASSERT_EQ(static_cast<int>(f.size()), featurizer_.FeatureDim());
+  // The featurizer's block, then the stage one-hot (join order) and the
+  // decision-target block, empty while joins are decided.
+  ASSERT_EQ(static_cast<int>(f.size()), featurizer_.FeatureDim() + 4 + 2 * kN);
+  const size_t tail = static_cast<size_t>(featurizer_.FeatureDim());
+  EXPECT_EQ(f[tail], 1.0);
+  for (size_t i = tail + 1; i < f.size(); ++i) EXPECT_EQ(f[i], 0.0);
   // Initial state: each leaf subtree s contains only relation s at depth 0
   // -> tree block is the identity scaled by 1.
   for (int s = 0; s < 4; ++s) {
@@ -65,22 +94,14 @@ TEST_F(RejoinTest, DepthWeightedTreeEncoding) {
   Query q = MakeQuery(4, 2, "feat2");
   env_.SetQuery(&q);
   env_.Reset();
-  // Join subtrees 0 and 1 (if valid, else first valid pair).
-  std::vector<bool> mask = env_.ActionMask();
-  int action = -1;
-  for (int a = 0; a < env_.action_dim(); ++a) {
-    if (mask[static_cast<size_t>(a)]) {
-      action = a;
-      break;
-    }
-  }
-  ASSERT_GE(action, 0);
-  auto [x, y] = env_.DecodeAction(action);
+  std::vector<int> valid = ValidActions(env_);
+  ASSERT_FALSE(valid.empty());
+  const int action = valid.front();
   env_.Step(action);
   std::vector<double> f = env_.StateVector();
-  // The merged tree sits at slot min(x, y); both relations are at depth 1
-  // -> encoded as 1/2.
-  int slot = std::min(x, y);
+  // Action x * N + y: the merged tree sits at slot min(x, y); both
+  // relations are at depth 1 -> encoded as 1/2.
+  int slot = std::min(action / kN, action % kN);
   int count_half = 0;
   for (int r = 0; r < kN; ++r) {
     if (f[static_cast<size_t>(slot * kN + r)] == 0.5) ++count_half;
@@ -92,35 +113,25 @@ TEST_F(RejoinTest, MaskAllowsOnlyConnectedPairs) {
   Query q = MakeQuery(5, 3, "mask1");
   env_.SetQuery(&q);
   env_.Reset();
-  std::vector<bool> mask = env_.ActionMask();
-  auto subtrees = env_.Subtrees();
-  for (int a = 0; a < env_.action_dim(); ++a) {
-    if (!mask[static_cast<size_t>(a)]) continue;
-    auto [x, y] = env_.DecodeAction(a);
-    ASSERT_LT(static_cast<size_t>(x), subtrees.size());
-    ASSERT_LT(static_cast<size_t>(y), subtrees.size());
+  // Before the first join, slot x holds relation x.
+  for (int a : ValidActions(env_)) {
+    const int x = a / kN;
+    const int y = a % kN;
+    ASSERT_LT(x, 5);
+    ASSERT_LT(y, 5);
     EXPECT_NE(x, y);
-    EXPECT_FALSE(q.JoinPredsBetween(subtrees[static_cast<size_t>(x)]->rels,
-                                    subtrees[static_cast<size_t>(y)]->rels)
-                     .empty())
+    EXPECT_FALSE(q.JoinPredsBetween(RelSetOf(x), RelSetOf(y)).empty())
         << "masked-in action joins disconnected subtrees";
   }
 }
 
 TEST_F(RejoinTest, CrossProductsAllowedWhenConfigured) {
-  JoinEnvConfig config;
-  config.allow_cross_products = true;
-  JoinOrderEnv env(&featurizer_, reward_fn_, config);
+  testing::RejoinEnv wide(kN, /*allow_cross_products=*/true);
   Query q = MakeQuery(4, 4, "mask2");
-  env.SetQuery(&q);
-  env.Reset();
-  std::vector<bool> mask = env.ActionMask();
-  int valid = 0;
-  for (int a = 0; a < env.action_dim(); ++a) {
-    if (mask[static_cast<size_t>(a)]) ++valid;
-  }
+  wide.env.SetQuery(&q);
+  wide.env.Reset();
   // Every ordered pair of the 4 subtrees: 4*3 = 12.
-  EXPECT_EQ(valid, 12);
+  EXPECT_EQ(ValidActions(wide.env).size(), 12u);
 }
 
 TEST_F(RejoinTest, EpisodeBuildsCompleteTree) {
@@ -129,23 +140,23 @@ TEST_F(RejoinTest, EpisodeBuildsCompleteTree) {
   env_.Reset();
   Rng rng(1);
   int steps = 0;
-  double final_reward = 0.0;
   while (!env_.Done()) {
-    std::vector<bool> mask = env_.ActionMask();
-    std::vector<int> valid;
-    for (int a = 0; a < env_.action_dim(); ++a) {
-      if (mask[static_cast<size_t>(a)]) valid.push_back(a);
-    }
+    std::vector<int> valid = ValidActions(env_);
     ASSERT_FALSE(valid.empty());
     env_.Step(rng.Choice(valid));
     ++steps;
   }
-  final_reward = env_.TerminalReward();
   EXPECT_EQ(steps, 5);  // n-1 joins.
-  EXPECT_GT(final_reward, 0.0);
-  const JoinTreeNode* tree = env_.FinalTree();
-  EXPECT_EQ(tree->rels, RelSetAll(6));
-  EXPECT_EQ(tree->NumJoins(), 5);
+  EXPECT_GT(env_.TerminalReward(), 0.0);
+  const PlanNode* joins = JoinRoot(env_.FinalPlan());
+  EXPECT_EQ(joins->rels, RelSetAll(6));
+  std::vector<const PlanNode*> nodes;
+  joins->CollectNodes(&nodes);
+  int num_joins = 0;
+  for (const PlanNode* node : nodes) {
+    if (node->IsJoin()) ++num_joins;
+  }
+  EXPECT_EQ(num_joins, 5);
 }
 
 TEST_F(RejoinTest, TrainerImprovesOverRandomBaseline) {
@@ -164,110 +175,74 @@ TEST_F(RejoinTest, TrainerImprovesOverRandomBaseline) {
     const Query& q = workload[static_cast<size_t>(e) % workload.size()];
     env_.SetQuery(&q);
     env_.Reset();
-    while (!env_.Done()) {
-      std::vector<bool> mask = env_.ActionMask();
-      std::vector<int> valid;
-      for (int a = 0; a < env_.action_dim(); ++a) {
-        if (mask[static_cast<size_t>(a)]) valid.push_back(a);
-      }
-      env_.Step(rng.Choice(valid));
-    }
+    while (!env_.Done()) env_.Step(rng.Choice(ValidActions(env_)));
     random_total += env_.TerminalReward();
     ++random_episodes;
   }
   double random_mean = random_total / random_episodes;
 
-  RejoinConfig config;
-  config.pg.hidden_dims = {32, 32};
-  config.pg.policy_lr = 2e-3;
-  RejoinTrainer trainer(&env_, config, 17);
-  trainer.Train(workload, 400);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {32, 32};
+  pg.policy_lr = 2e-3;
+  PolicyGradientAgent agent(env_.state_dim(), env_.action_dim(), pg, 17);
+  testing::TrainSerially(&agent, &env_, workload, 400);
 
   double trained_total = 0.0;
-  for (const Query& q : workload) {
-    RejoinEpisodeStats stats = trainer.RunEpisode(q, /*train=*/false);
-    trained_total += stats.reward;
-  }
+  for (const Query& q : workload) trained_total += GreedyReward(agent, q);
   double trained_mean = trained_total / static_cast<double>(workload.size());
   EXPECT_GT(trained_mean, random_mean);
 }
 
 TEST_F(RejoinTest, TrainFlushesTrailingEpisodes) {
-  // Episodes short of episodes_per_update used to be left in the pending
-  // buffer at the end of Train, leaking (with stale old_prob values) into a
-  // later Train/RunEpisode update. Train must flush the remainder.
+  // Episodes short of episodes_per_update must not stay buffered past the
+  // end of Train: they would leak (with stale old_prob values) into a
+  // later run's update. Every run flushes its remainder.
   Query q = MakeQuery(4, 10, "flush1");
-  RejoinConfig config;
-  config.pg.hidden_dims = {16};
-  config.episodes_per_update = 8;
-  RejoinTrainer trainer(&env_, config, 21);
-  trainer.Train({q}, 3);  // 3 < 8: a trailing partial batch.
-  EXPECT_EQ(trainer.pending_episodes(), 0u);
-  trainer.Train({q}, 11);  // 8 trigger an update, 3 trail again.
-  EXPECT_EQ(trainer.pending_episodes(), 0u);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {16};
+  PolicyGradientAgent agent(env_.state_dim(), env_.action_dim(), pg, 21);
+  RolloutLoop<FullPipelineEnv> loop(&agent, &env_, /*episodes_per_update=*/8,
+                                    /*num_workers=*/1, /*seed=*/21);
+  auto no_stats = [](int, FullPipelineEnv*, const Episode&) { return 0; };
 
-  // Callers driving RunEpisode directly buffer episodes and can flush
-  // explicitly; a second flush is a no-op.
-  trainer.RunEpisode(q, /*train=*/true);
-  EXPECT_EQ(trainer.pending_episodes(), 1u);
-  trainer.FlushPendingEpisodes();
-  EXPECT_EQ(trainer.pending_episodes(), 0u);
-  trainer.FlushPendingEpisodes();
-  EXPECT_EQ(trainer.pending_episodes(), 0u);
-  // Evaluation episodes never enter the pending buffer.
-  trainer.RunEpisode(q, /*train=*/false);
-  EXPECT_EQ(trainer.pending_episodes(), 0u);
-}
+  const std::string initial = Weights(agent);
+  loop.Train(std::vector<Query>{q}, 3, no_stats, [](int, int) {});
+  // 3 < 8: the only update the run can make is the trailing flush.
+  const std::string after_short_run = Weights(agent);
+  EXPECT_NE(after_short_run, initial);
 
-// RunEpisode (training and evaluation alike) pulls the terminal reward
-// exactly once per episode; a second pull and copies of the finished env
-// reuse the cached score.
-TEST_F(RejoinTest, EpisodesPullTheRewardOnce) {
-  int calls = 0;
-  JoinOrderEnv env(&featurizer_,
-                   [this, &calls](const Query& q, const JoinTreeNode& tree) {
-                     ++calls;
-                     return reward_fn_(q, tree);
-                   });
-  RejoinConfig config;
-  config.pg.hidden_dims = {16};
-  RejoinTrainer trainer(&env, config, 23);
-  Query q = MakeQuery(5, 11, "pull1");
-  for (int e = 0; e < 4; ++e) {
-    RejoinEpisodeStats stats = trainer.RunEpisode(q, /*train=*/e % 2 == 0);
-    EXPECT_EQ(calls, e + 1);
-    EXPECT_EQ(stats.reward, env.TerminalReward());
-  }
-  EXPECT_EQ(calls, 4);
-
-  const double cost = env.FinalCost();
-  std::unique_ptr<SearchEnv> clone = env.CloneSearch();
-  JoinOrderEnv pooled(&featurizer_, reward_fn_);
-  ASSERT_TRUE(pooled.TryCopySearchStateFrom(env));
-  EXPECT_EQ(clone->FinalCost(), cost);
-  EXPECT_EQ(pooled.FinalCost(), cost);
-  EXPECT_EQ(calls, 4);
-
-  // A single-relation episode is trivial: it scores 0 without a call.
-  Query single = MakeQuery(1, 12, "pull_single");
-  trainer.RunEpisode(single, /*train=*/true);
-  EXPECT_EQ(env.TerminalReward(), 0.0);
-  EXPECT_EQ(calls, 4);
+  // 8 trigger an update, 3 trail; the report of episode 7 fires after the
+  // batch update, so the trailing 3 must move the weights again.
+  std::string after_batch;
+  loop.Train(std::vector<Query>{q}, 11, no_stats, [&](int e, int) {
+    if (e == 7) after_batch = Weights(agent);
+  });
+  EXPECT_NE(after_batch, after_short_run);
+  EXPECT_NE(Weights(agent), after_batch);
 }
 
 TEST_F(RejoinTest, PlanIsDeterministicAndTimed) {
   Query q = MakeQuery(6, 8, "plan1");
-  RejoinConfig config;
-  config.pg.hidden_dims = {16};
-  RejoinTrainer trainer(&env_, config, 19);
-  trainer.Train({q}, 40);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {16};
+  PolicyGradientAgent agent(env_.state_dim(), env_.action_dim(), pg, 19);
+  testing::TrainSerially(&agent, &env_, {q}, 40);
+  AgentPolicy policy(&agent);
+  MlpWorkspace ws;
+  std::unique_ptr<PlanSearch> greedy = MakePlanSearch(SearchConfig());
+  auto plan = [&](double* ms) {
+    env_.SetQuery(&q);
+    auto result = greedy->Search(&env_, SearchContext{&policy, nullptr, &ws});
+    HFQ_CHECK(result.ok());
+    *ms = result->planning_ms;
+    return env_.FinalPlan()->ToString(q);
+  };
   double ms1 = -1.0, ms2 = -1.0;
-  auto t1 = trainer.Plan(q, &ms1);
-  auto t2 = trainer.Plan(q, &ms2);
-  EXPECT_EQ(t1->ToString(q), t2->ToString(q));
+  const std::string p1 = plan(&ms1);
+  EXPECT_EQ(plan(&ms2), p1);
   EXPECT_GE(ms1, 0.0);
   EXPECT_GE(ms2, 0.0);
-  EXPECT_EQ(t1->rels, RelSetAll(6));
+  EXPECT_EQ(JoinRoot(env_.FinalPlan())->rels, RelSetAll(6));
 }
 
 TEST_F(RejoinTest, SingleRelationEpisodeIsTrivial) {
@@ -275,54 +250,55 @@ TEST_F(RejoinTest, SingleRelationEpisodeIsTrivial) {
   env_.SetQuery(&q);
   env_.Reset();
   EXPECT_TRUE(env_.Done());
-  EXPECT_EQ(env_.FinalTree()->rels, RelSetOf(0));
-}
+  EXPECT_EQ(JoinRoot(env_.FinalPlan())->rels, RelSetOf(0));
 
-TEST_F(RejoinTest, ReassignedQueryVariableIsRefeaturized) {
-  // One Query variable, one name, two structures. Neither the env bound to
-  // it nor a pooled env that copied its state may serve the first
-  // structure's cached feature blocks for the second.
-  Query q = MakeQuery(4, 11, "reused_feat");
-  env_.SetQuery(&q);
-  env_.Reset();
-  JoinOrderEnv pooled(&featurizer_, reward_fn_);
-  ASSERT_TRUE(pooled.TryCopySearchStateFrom(env_));
-  const std::vector<double> first = env_.StateVector();
-  EXPECT_EQ(pooled.StateVector(), first);
-
-  q = MakeQuery(4, 12, "reused_feat");
-  env_.SetQuery(&q);
-  env_.Reset();
-  ASSERT_TRUE(pooled.TryCopySearchStateFrom(env_));
-  JoinOrderEnv fresh(&featurizer_, reward_fn_);
-  fresh.SetQuery(&q);
-  fresh.Reset();
-  const std::vector<double> expected = fresh.StateVector();
-  ASSERT_NE(expected, first);
-  EXPECT_EQ(env_.StateVector(), expected);
-  EXPECT_EQ(pooled.StateVector(), expected);
+  // Training on it decides nothing, scores nothing and updates nothing,
+  // but every episode is still reported.
+  testing::CountingReward counting(&rejoin_.reward);
+  env_.set_reward(&counting);
+  PolicyGradientConfig pg;
+  pg.hidden_dims = {16};
+  PolicyGradientAgent agent(env_.state_dim(), env_.action_dim(), pg, 23);
+  RolloutLoop<FullPipelineEnv> loop(&agent, &env_, /*episodes_per_update=*/2,
+                                    /*num_workers=*/1, /*seed=*/23);
+  const std::string initial = Weights(agent);
+  int reported = 0;
+  loop.Train(
+      std::vector<Query>{q}, 3,
+      [](int, FullPipelineEnv*, const Episode& episode) {
+        return static_cast<int>(episode.steps.size());
+      },
+      [&reported](int, int steps) {
+        EXPECT_EQ(steps, 0);
+        ++reported;
+      });
+  EXPECT_EQ(reported, 3);
+  EXPECT_EQ(counting.calls(), 0);
+  EXPECT_EQ(Weights(agent), initial);
+  env_.set_reward(&rejoin_.reward);
 }
 
 // A pooled env that copies a warm env of another binding takes the warm
 // featurization cache along; what it featurizes from that cache is
-// bit-identical to an uncached featurization.
+// bit-identical to what an env replaying the same actions on a cold cache
+// featurizes.
 TEST_F(RejoinTest, PooledCopyOfWarmEnvFeaturizesIdentically) {
   Query q = MakeQuery(6, 13, "warm_copy");
   env_.SetQuery(&q);
   env_.Reset();
   Rng rng(5);
+  std::vector<int> actions;
   while (!env_.Done()) {
     env_.StateVector();  // Warms env_'s cache with this state's blocks.
-    JoinOrderEnv pooled(&featurizer_, reward_fn_);
-    ASSERT_TRUE(pooled.TryCopySearchStateFrom(env_));
-    EXPECT_EQ(pooled.StateVector(),
-              featurizer_.Featurize(q, pooled.Subtrees()));
-    std::vector<bool> mask = env_.ActionMask();
-    std::vector<int> valid;
-    for (int a = 0; a < env_.action_dim(); ++a) {
-      if (mask[static_cast<size_t>(a)]) valid.push_back(a);
-    }
-    env_.Step(rng.Choice(valid));
+    testing::RejoinEnv pooled(kN);
+    ASSERT_TRUE(pooled.env.TryCopySearchStateFrom(env_));
+    testing::RejoinEnv cold(kN);
+    cold.env.SetQuery(&q);
+    cold.env.Reset();
+    for (int a : actions) cold.env.Step(a);
+    EXPECT_EQ(pooled.env.StateVector(), cold.env.StateVector());
+    actions.push_back(rng.Choice(ValidActions(env_)));
+    env_.Step(actions.back());
   }
 }
 

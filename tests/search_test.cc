@@ -17,8 +17,6 @@
 
 #include "core/full_env.h"
 #include "core/reward.h"
-#include "rejoin/join_env.h"
-#include "rejoin/rejoin.h"
 #include "search/plan_search.h"
 #include "tests/test_common.h"
 #include "util/thread_pool.h"
@@ -30,15 +28,9 @@ namespace {
 class SearchTest : public ::testing::Test {
  protected:
   SearchTest()
-      : featurizer_(kN, &testing::SharedEngine().estimator()),
-        reward_fn_([](const Query& q, const JoinTreeNode& tree) {
-          auto plan =
-              testing::SharedEngine().expert().PhysicalizeJoinTree(q, tree);
-          HFQ_CHECK(plan.ok());
-          return 1e5 / std::max(1.0, (*plan)->est_cost);
-        }),
-        env_(&featurizer_, reward_fn_),
-        trainer_(&env_, RejoinConfig(), /*seed=*/20260730) {
+      : rejoin_(kN),
+        agent_(env_.state_dim(), env_.action_dim(), PolicyGradientConfig(),
+               /*seed=*/20260730) {
     WorkloadGenerator gen(&testing::SharedEngine().catalog(), 99);
     for (int i = 0; i < 4; ++i) {
       auto q = gen.GenerateQuery(4 + i % 3, "search_q" + std::to_string(i));
@@ -47,7 +39,7 @@ class SearchTest : public ::testing::Test {
     }
     // A briefly-trained (deliberately imperfect) policy: search has to
     // have something to improve on.
-    trainer_.Train(queries_, 48);
+    testing::TrainSerially(&agent_, &env_, queries_, 48);
   }
 
   // The pre-refactor inference loop, verbatim: greedy argmax per step.
@@ -58,7 +50,7 @@ class SearchTest : public ::testing::Test {
     while (!env_.Done()) {
       std::vector<double> state = env_.StateVector();
       std::vector<bool> mask = env_.ActionMask();
-      int action = trainer_.agent().GreedyAction(state, mask);
+      int action = agent_.GreedyAction(state, mask);
       env_.Step(action);
       actions.push_back(action);
     }
@@ -67,7 +59,7 @@ class SearchTest : public ::testing::Test {
 
   SearchResult RunSearch(const SearchConfig& config, const Query& query,
                          ThreadPool* pool = nullptr) {
-    AgentPolicy policy(&trainer_.agent());
+    AgentPolicy policy(&agent_);
     return RunSearchWith(policy, config, query, pool);
   }
 
@@ -80,7 +72,7 @@ class SearchTest : public ::testing::Test {
                              MlpWorkspace* ws_out = nullptr) {
     env_.SetQuery(&query);
     MlpWorkspace ws;
-    SearchContext ctx{&policy, &trainer_.agent().rng(),
+    SearchContext ctx{&policy, &agent_.rng(),
                       ws_out != nullptr ? ws_out : &ws};
     auto searcher = MakePlanSearch(config);
     auto result = searcher->Search(&env_, ctx, pool);
@@ -120,32 +112,25 @@ class SearchTest : public ::testing::Test {
     AgentPolicy inner_;
   };
 
-  RejoinFeaturizer featurizer_;
-  JoinRewardFn reward_fn_;
-  JoinOrderEnv env_;
-  RejoinTrainer trainer_;
+  testing::RejoinEnv rejoin_;
+  FullPipelineEnv& env_ = rejoin_.env;
+  PolicyGradientAgent agent_;
   std::vector<Query> queries_;
 };
 
 TEST_F(SearchTest, GreedySearchMatchesLegacyInlineGreedyBitForBit) {
   for (const Query& q : queries_) {
     std::vector<int> legacy = LegacyGreedyActions(q);
-    std::string legacy_tree = env_.FinalTree()->ToString(q);
+    std::string legacy_plan = env_.FinalPlan()->ToString(q);
     double legacy_cost = env_.FinalCost();
 
     SearchResult greedy = RunSearch(SearchConfig(), q);
     EXPECT_EQ(greedy.actions, legacy) << q.name;
-    EXPECT_EQ(env_.FinalTree()->ToString(q), legacy_tree) << q.name;
+    EXPECT_EQ(env_.FinalPlan()->ToString(q), legacy_plan) << q.name;
     EXPECT_EQ(greedy.cost, legacy_cost) << q.name;
     EXPECT_EQ(greedy.rollouts, 1);
     EXPECT_FALSE(greedy.fell_back_to_greedy);
-
-    // The trainer's Plan() routes through GreedySearch and must keep
-    // producing the same tree as the historic inline loop.
-    double planning_ms = -1.0;
-    auto tree = trainer_.Plan(q, &planning_ms);
-    EXPECT_EQ(tree->ToString(q), legacy_tree) << q.name;
-    EXPECT_GE(planning_ms, 0.0);
+    EXPECT_GE(greedy.planning_ms, 0.0);
   }
 }
 
@@ -222,12 +207,13 @@ TEST_F(SearchTest, BestOfKDeterministicRegardlessOfPriorSampling) {
   config.best_of_k = 8;
   const Query& q = queries_[0];
   SearchResult a = RunSearch(config, q);
-  // Burn trainer Rng state with sampled episodes; the search's rollout
-  // streams are derived from (config.seed, rollout), so the result must
-  // not move — the regression the facade's repeated-Optimize determinism
-  // rests on.
-  trainer_.RunEpisode(queries_[1], /*train=*/true);
-  trainer_.RunEpisode(queries_[2], /*train=*/true);
+  // Burn the agent's Rng state with sampled episodes; the search's
+  // rollout streams are derived from (config.seed, rollout), so the result
+  // must not move — the regression the facade's repeated-Optimize
+  // determinism rests on.
+  MlpWorkspace ws;
+  RunSampledEpisode(agent_, &env_, queries_[1], &agent_.rng(), &ws);
+  RunSampledEpisode(agent_, &env_, queries_[2], &agent_.rng(), &ws);
   SearchResult b = RunSearch(config, q);
   EXPECT_EQ(a.actions, b.actions);
   EXPECT_EQ(a.cost, b.cost);
@@ -320,7 +306,7 @@ std::function<double()> ExpireAtCheck(int survive) {
 // passes are counted via the workspace, so the assertion is exact.
 TEST_F(SearchTest, BeamBudgetExpiryMidRoundStopsBeforeRankingForward) {
   const Query& q = queries_[0];
-  AgentPolicy policy(&trainer_.agent());
+  AgentPolicy policy(&agent_);
   MlpWorkspace greedy_ws;
   SearchResult greedy =
       RunSearchWith(policy, SearchConfig(), q, nullptr, &greedy_ws);
@@ -347,7 +333,7 @@ TEST_F(SearchTest, BeamBudgetExpiryMidRoundStopsBeforeRankingForward) {
 // stops before the children's value-head forward.
 TEST_F(SearchTest, BestFirstBudgetExpiryStopsBeforeValueForward) {
   const Query& q = queries_[0];
-  AgentPolicy policy(&trainer_.agent());
+  AgentPolicy policy(&agent_);
   MlpWorkspace greedy_ws;
   SearchResult greedy =
       RunSearchWith(policy, SearchConfig(), q, nullptr, &greedy_ws);
@@ -373,7 +359,7 @@ TEST_F(SearchTest, BestFirstBudgetExpiryStopsBeforeValueForward) {
 // forward: once expired, not a single further forward is paid.
 TEST_F(SearchTest, BestOfKBudgetExpiryNeverPaysAnotherForward) {
   const Query& q = queries_[0];
-  AgentPolicy policy(&trainer_.agent());
+  AgentPolicy policy(&agent_);
   MlpWorkspace greedy_ws;
   SearchResult greedy =
       RunSearchWith(policy, SearchConfig(), q, nullptr, &greedy_ws);
@@ -450,24 +436,6 @@ TEST_F(SearchTest, BudgetFallbackChargesFullSearchWallTime) {
   }
 }
 
-TEST_F(SearchTest, PlanWithSearchExposesTheSearchOnTheTrainer) {
-  SearchConfig config;
-  config.mode = SearchMode::kBestOfK;
-  config.best_of_k = 8;
-  const Query& q = queries_[0];
-  double greedy_ms = 0.0, search_ms = 0.0;
-  auto greedy_tree = trainer_.Plan(q, &greedy_ms);
-  SearchResult details;
-  auto searched_tree = trainer_.PlanWithSearch(q, config, &search_ms,
-                                               &details);
-  ASSERT_NE(searched_tree, nullptr);
-  EXPECT_EQ(details.rollouts, 8);
-  // Full-search accounting: K rollouts must charge at least the winning
-  // rollout's share (wall clock, so only sanity-checked).
-  EXPECT_GE(search_ms, 0.0);
-  EXPECT_LE(details.cost, env_.FinalCost() + 1e-12);
-}
-
 TEST_F(SearchTest, SearchSpecsParseAndRoundTrip) {
   auto greedy = ParseSearchSpec("greedy");
   ASSERT_TRUE(greedy.ok());
@@ -515,8 +483,8 @@ TEST_F(SearchTest, BatchedFrontierMatchesPerRowReferenceBitForBit) {
   // wrapper that inherits the per-row base fallbacks must not move a
   // single action on any mode or width — the one-matrix forward is an
   // implementation detail, not a semantics change.
-  AgentPolicy batched(&trainer_.agent());
-  PerRowPolicy per_row(&trainer_.agent());
+  AgentPolicy batched(&agent_);
+  PerRowPolicy per_row(&agent_);
   for (const char* spec :
        {"best-of-6", "beam-1", "beam-4", "beam-8", "best-first-3"}) {
     auto config = ParseSearchSpec(spec);
@@ -556,7 +524,7 @@ TEST_F(SearchTest, BeamForwardCallsPerRoundAreWidthInvariant) {
   // O(frontier). Since every beam of the same query runs the same number
   // of rounds (all prefixes advance one step per round), total
   // forward_calls must not move with the width — only forward_rows may.
-  AgentPolicy policy(&trainer_.agent());
+  AgentPolicy policy(&agent_);
   auto count = [&](const Query& q, int width) {
     SearchConfig config;
     config.mode = SearchMode::kBeam;

@@ -1,5 +1,5 @@
-// Tests for the search-as-teacher refinement loop (src/rl/teacher_loop,
-// RejoinTrainer::RefineWithTeacher, HandsFreeOptimizer::RefineWithTeacher):
+// Tests for the search-as-teacher refinement loop (src/rl/teacher_loop run
+// directly over ReJOIN's MDP, HandsFreeOptimizer::RefineWithTeacher):
 // the per-iteration greedy mean cost is non-increasing by construction, a
 // frozen student re-discovers nothing (pool dedup), the loop is
 // deterministic across identical trainers, the experience pool checkpoint
@@ -15,8 +15,6 @@
 
 #include "core/hands_free.h"
 #include "core/reward.h"
-#include "rejoin/join_env.h"
-#include "rejoin/rejoin.h"
 #include "rl/experience_pool.h"
 #include "rl/teacher_loop.h"
 #include "search/plan_search.h"
@@ -29,15 +27,9 @@ namespace {
 class TeacherLoopTest : public ::testing::Test {
  protected:
   TeacherLoopTest()
-      : featurizer_(kN, &testing::SharedEngine().estimator()),
-        reward_fn_([](const Query& q, const JoinTreeNode& tree) {
-          auto plan =
-              testing::SharedEngine().expert().PhysicalizeJoinTree(q, tree);
-          HFQ_CHECK(plan.ok());
-          return 1e5 / std::max(1.0, (*plan)->est_cost);
-        }),
-        env_(&featurizer_, reward_fn_),
-        trainer_(&env_, RejoinConfig(), /*seed=*/20260730) {
+      : rejoin_(kN),
+        agent_(env_.state_dim(), env_.action_dim(), PolicyGradientConfig(),
+               /*seed=*/20260730) {
     WorkloadGenerator gen(&testing::SharedEngine().catalog(), 99);
     for (int i = 0; i < 4; ++i) {
       auto q = gen.GenerateQuery(4 + i % 3, "teach_q" + std::to_string(i));
@@ -45,7 +37,44 @@ class TeacherLoopTest : public ::testing::Test {
       queries_.push_back(std::move(*q));
     }
     // Deliberately short training: the teacher needs a gap to close.
-    trainer_.Train(queries_, 48);
+    testing::TrainSerially(&agent_, &env_, queries_, 48);
+  }
+
+  // One refinement of `agent` over queries_: the frozen policy searches
+  // with `search` on `env`, and the agent is the student. A null `pool`
+  // runs against a call-local one.
+  Result<std::vector<TeacherIterationStats>> Refine(
+      PolicyGradientAgent* agent, FullPipelineEnv* env,
+      const TeacherConfig& teacher, const SearchConfig& search,
+      ExperiencePool* pool = nullptr) {
+    ExperiencePool local_pool;
+    AgentPolicy policy(agent);
+    AgentTeacherStudent student(agent);
+    std::unique_ptr<PlanSearch> searcher = MakePlanSearch(search);
+    MlpWorkspace ws;
+    SearchScratch scratch;
+    TeacherLoopTask task;
+    task.env = env;
+    task.num_queries = queries_.size();
+    task.select_query = [this, env](size_t i) {
+      env->SetQuery(&queries_[i]);
+      return queries_[i].StructuralFingerprint();
+    };
+    task.search = [&](SearchEnv* search_env) -> Result<TeacherSearchOutcome> {
+      SearchContext ctx{&policy, /*rng=*/nullptr, &ws, &scratch};
+      HFQ_ASSIGN_OR_RETURN(SearchResult found,
+                           searcher->Search(search_env, ctx));
+      return TeacherSearchOutcome{std::move(found.actions), found.cost};
+    };
+    task.policy = &policy;
+    task.student = &student;
+    task.pool = pool != nullptr ? pool : &local_pool;
+    return RunTeacherLoop(task, teacher);
+  }
+
+  Result<std::vector<TeacherIterationStats>> Refine(
+      const TeacherConfig& teacher, ExperiencePool* pool) {
+    return Refine(&agent_, &env_, teacher, Beam4(), pool);
   }
 
   static SearchConfig Beam4() {
@@ -56,10 +85,9 @@ class TeacherLoopTest : public ::testing::Test {
   }
 
   static constexpr int kN = 8;
-  RejoinFeaturizer featurizer_;
-  JoinRewardFn reward_fn_;
-  JoinOrderEnv env_;
-  RejoinTrainer trainer_;
+  testing::RejoinEnv rejoin_;
+  FullPipelineEnv& env_ = rejoin_.env;
+  PolicyGradientAgent agent_;
   std::vector<Query> queries_;
 };
 
@@ -67,15 +95,14 @@ TEST_F(TeacherLoopTest, GreedyMeanCostMonotoneNonIncreasing) {
   TeacherConfig teacher;
   teacher.iterations = 4;
   ExperiencePool pool;
-  auto stats = trainer_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
+  auto stats = Refine(teacher, &pool);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_EQ(stats->size(), 4u);
   for (size_t i = 0; i < stats->size(); ++i) {
     const TeacherIterationStats& row = (*stats)[i];
     EXPECT_EQ(row.iteration, static_cast<int>(i));
-    // FinalCost here is the negated episode reward, so values are
-    // negative; only finiteness and ordering are meaningful.
-    EXPECT_TRUE(std::isfinite(row.teacher_mean_cost));
+    // FinalCost here is the finished plan's cost-model cost.
+    EXPECT_GT(row.teacher_mean_cost, 0.0);
     EXPECT_TRUE(std::isfinite(row.greedy_mean_cost));
     // Every query has a best-known plan from iteration 0 on.
     EXPECT_EQ(row.demos, static_cast<int>(queries_.size()));
@@ -97,7 +124,7 @@ TEST_F(TeacherLoopTest, FrozenStudentRediscoversNothing) {
   teacher.iterations = 2;
   teacher.learn_passes = 0;
   ExperiencePool pool;
-  auto stats = trainer_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
+  auto stats = Refine(teacher, &pool);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   ASSERT_EQ(stats->size(), 2u);
   EXPECT_GE((*stats)[0].new_plans, 1);
@@ -108,7 +135,7 @@ TEST_F(TeacherLoopTest, FrozenStudentRediscoversNothing) {
 
   // A later refinement against the same (still frozen) policy and pool
   // starts from full knowledge: nothing new in any iteration.
-  auto again = trainer_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
+  auto again = Refine(teacher, &pool);
   ASSERT_TRUE(again.ok());
   for (const TeacherIterationStats& row : *again) {
     EXPECT_EQ(row.new_plans, 0);
@@ -121,15 +148,16 @@ TEST_F(TeacherLoopTest, DeterministicAcrossIdenticalTrainers) {
   // same per-iteration stats, same final weights. (The loop is serial and
   // never consumes the trainer's sampling streams.)
   auto run = [this](std::string* weights_out) {
-    JoinOrderEnv env(&featurizer_, reward_fn_);
-    RejoinTrainer trainer(&env, RejoinConfig(), /*seed=*/20260730);
-    trainer.Train(queries_, 48);
+    testing::RejoinEnv rejoin(kN);
+    PolicyGradientAgent agent(rejoin.env.state_dim(), rejoin.env.action_dim(),
+                              PolicyGradientConfig(), /*seed=*/20260730);
+    testing::TrainSerially(&agent, &rejoin.env, queries_, 48);
     TeacherConfig teacher;
     teacher.iterations = 3;
-    auto stats = trainer.RefineWithTeacher(queries_, teacher, Beam4());
+    auto stats = Refine(&agent, &rejoin.env, teacher, Beam4());
     HFQ_CHECK(stats.ok());
     std::ostringstream weights;
-    HFQ_CHECK(trainer.agent().Save(weights).ok());
+    HFQ_CHECK(agent.Save(weights).ok());
     *weights_out = weights.str();
     return *stats;
   };
@@ -153,7 +181,7 @@ TEST_F(TeacherLoopTest, PoolCheckpointRoundTripsAndResumes) {
   teacher.iterations = 1;
   teacher.learn_passes = 0;  // Frozen policy: discoveries are reproducible.
   ExperiencePool pool;
-  auto stats = trainer_.RefineWithTeacher(queries_, teacher, Beam4(), &pool);
+  auto stats = Refine(teacher, &pool);
   ASSERT_TRUE(stats.ok());
   ASSERT_GE(pool.size(), 1u);
 
@@ -169,7 +197,7 @@ TEST_F(TeacherLoopTest, PoolCheckpointRoundTripsAndResumes) {
   // Resuming against the restored checkpoint: the frozen policy's searches
   // only rediscover plans the pool already holds.
   auto resumed =
-      trainer_.RefineWithTeacher(queries_, teacher, Beam4(), &*loaded);
+      Refine(teacher, &*loaded);
   ASSERT_TRUE(resumed.ok());
   EXPECT_EQ((*resumed)[0].new_plans, 0);
   EXPECT_EQ(loaded->size(), pool.size());

@@ -1,14 +1,18 @@
-// Shared test fixtures: a small engine built once per test binary, plus a
-// tiny hand-constructed database with analytically known cardinalities.
+// Shared test fixtures: a small engine built once per test binary, ReJOIN's
+// join-order MDP on it, plus a tiny hand-constructed database with
+// analytically known cardinalities.
 #ifndef HFQ_TESTS_TEST_COMMON_H_
 #define HFQ_TESTS_TEST_COMMON_H_
 
 #include <atomic>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
+#include "core/full_env.h"
 #include "core/reward.h"
+#include "rl/rollout.h"
 #include "util/check.h"
 
 namespace hfq {
@@ -35,7 +39,7 @@ class CountingReward : public RewardSignal {
   explicit CountingReward(RewardSignal* inner) : inner_(inner) {
     HFQ_CHECK(inner != nullptr);
   }
-  double Score(const Query& query, PlanNode* plan) override {
+  double Score(const Query& query, const PlanNode& plan) override {
     calls_.fetch_add(1);
     return inner_->Score(query, plan);
   }
@@ -49,6 +53,39 @@ class CountingReward : public RewardSignal {
   RewardSignal* inner_;
   std::atomic<int> calls_{0};
 };
+
+/// ReJOIN's MDP (paper Section 3) on the shared engine: the plan-building
+/// env with only the join-order stage enabled, rewarded 1/M(t).
+struct RejoinEnv {
+  explicit RejoinEnv(int max_relations, bool allow_cross_products = false)
+      : featurizer(max_relations, &SharedEngine().estimator()),
+        env(&featurizer, &SharedEngine().expert(), &reward,
+            Config(allow_cross_products)) {}
+
+  static FullEnvConfig Config(bool allow_cross_products) {
+    FullEnvConfig config;
+    config.stages = PipelineStages::JoinOrderOnly();
+    config.allow_cross_products = allow_cross_products;
+    return config;
+  }
+
+  RejoinFeaturizer featurizer;
+  ReciprocalCostReward reward{1e5};
+  FullPipelineEnv env;
+};
+
+/// Trains `agent` serially on `episodes` episodes of `env` over `workload`,
+/// 8 episodes per update.
+inline void TrainSerially(PolicyGradientAgent* agent, FullPipelineEnv* env,
+                          const std::vector<Query>& workload, int episodes) {
+  RolloutLoop<FullPipelineEnv> loop(agent, env, /*episodes_per_update=*/8,
+                                    /*num_workers=*/1, /*seed=*/0);
+  loop.Train(
+      workload, episodes, [](int, FullPipelineEnv*, const Episode&) {
+        return 0;
+      },
+      [](int, int) {});
+}
 
 /// A micro catalog: two tables with a single FK edge and known contents.
 ///   parent(id, attr)  : 10 rows, attr = id % 5
